@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test lint check ci bench bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke codegen-smoke serve-smoke synth-smoke verilog-smoke clean
+.PHONY: all build test lint check ci bench bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke clean
 
 all: build
 
@@ -20,14 +20,15 @@ check: build test lint
 # Everything a PR must pass, including one pass over every bench series
 # (tiny iteration counts) so the perf code paths are compiled and exercised
 # even when nobody is looking at the numbers.
-ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke codegen-smoke serve-smoke synth-smoke verilog-smoke
+ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke
 
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
 
-# Same-binary settle-vs-levelized comparison over the RTL series: fails
-# if the levelized engine is ever slower than the legacy whole-network
-# settle.  Same-process, so no cross-binary flakiness.
+# Same-binary comparison of the one production RTL engine (levelized)
+# against the legacy whole-network settle reference, interleaved over the
+# fig3/pin_rtl and fig3/sram_rtl series: fails if the levelized engine is
+# ever slower than settle.  Same-process, so no cross-binary flakiness.
 bench-guard:
 	dune exec bench/main.exe -- --guard
 
@@ -48,19 +49,6 @@ fault-smoke:
 # the JSON against the strict campaign schema (same as `dune build @swarm`).
 swarm-smoke:
 	dune build @swarm
-
-# Cold-then-warm `profile --engine compiled` against a private artefact
-# cache (same as `dune build @codegen`): the first process must compile,
-# the second must hit the on-disk cache, and both profiles must be
-# byte-identical to the interpreter's modulo the engine tag.  Skips (does
-# not fail) on hosts without a native-code toolchain — without ocamlopt
-# the engine degrades to `Levelized and there is nothing to smoke.
-codegen-smoke:
-	@if command -v ocamlopt.opt >/dev/null 2>&1 || command -v ocamlopt >/dev/null 2>&1; then \
-	  dune build @codegen; \
-	else \
-	  echo "codegen-smoke: no native toolchain, skipped"; \
-	fi
 
 # The serve-protocol contract (same as `dune build @serve`): the fig3
 # flow job replayed through the daemon's stdio session at two pool

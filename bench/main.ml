@@ -424,20 +424,11 @@ let series : (string * (unit -> int option)) list =
     ( "fig3/pin_rtl",
       fun () ->
         Some (System.run_rtl ~mem_bytes ~script:random_script ()).System.rr_cycles );
-    ( "fig3/pin_rtl_compiled",
-      fun () ->
-        let config = Run_config.make ~mem_bytes ~rtl_engine:`Compiled () in
-        Some (System.rtl config ~script:random_script).System.rr_cycles );
     ( "fig3/sram_pin",
       fun () -> ignore (Sram_system.run_pin ~mem_bytes ~script:random_script ()); None );
     ( "fig3/sram_rtl",
       fun () ->
         Some (Sram_system.run_rtl ~mem_bytes ~script:random_script ()).System.rr_cycles );
-    ( "fig3/sram_rtl_compiled",
-      fun () ->
-        Some
-          (Sram_system.run_rtl ~engine:`Compiled ~mem_bytes ~script:random_script ())
-            .System.rr_cycles );
     ( "exp3/equiv_check",
       fun () ->
         ignore
@@ -468,80 +459,24 @@ let series : (string * (unit -> int option)) list =
     ("swarm/closure_blind_b64", fun () -> ignore (run_swarm ~guided:false ~budget:64 ()); None);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* CODEGEN: latency of the code-generating RTL backend                 *)
-
-module Codegen = Hlcs_rtl.Codegen
-
+(* Raw engine throughput: drive the synthesized fig3 netlist directly —
+   per-cycle input churn, settle, clock edge, settle — with no
+   event-driven testbench around it.  The pin_rtl series above is bounded
+   by the behavioural PCI models and the scheduler; this axis isolates
+   what the ROADMAP's "millions of cycles/sec" item asks of the evaluator
+   itself. *)
 let fig3_rtl =
   lazy
     (Synthesize.synthesize (Pci_master_design.design ~app:random_script ()))
       .Synthesize.rp_rtl
 
-(* the codegen series run against a private artefact cache so wiping it
-   between runs (for the cold series) cannot evict anyone else's
-   artefacts; [cache_dir] re-reads the environment on every call *)
-let codegen_bench_cache =
-  lazy
-    (let dir = Filename.temp_file "hlcs_bench_cg" "" in
-     Sys.remove dir;
-     Unix.mkdir dir 0o700;
-     dir)
-
-let with_bench_cache f =
-  let dir = Lazy.force codegen_bench_cache in
-  let old = Option.value ~default:"" (Sys.getenv_opt "HLCS_CODEGEN_CACHE") in
-  Unix.putenv "HLCS_CODEGEN_CACHE" dir;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "HLCS_CODEGEN_CACHE" old)
-    (fun () -> f dir)
-
-let codegen_series : (string * (unit -> int option)) list =
-  [
-    (* pure emission: design -> OCaml source string *)
-    ( "codegen/emit",
-      fun () ->
-        ignore (Codegen.emit_ocaml (Lazy.force fig3_rtl));
-        None );
-    (* cold path: emit + out-of-process ocamlopt + atomic install *)
-    ( "codegen/emit_compile_cold",
-      fun () ->
-        with_bench_cache (fun dir ->
-            Codegen.clear_memo ();
-            Array.iter
-              (fun f -> Sys.remove (Filename.concat dir f))
-              (Sys.readdir dir);
-            match Codegen.prepare (Lazy.force fig3_rtl) with
-            | Ok (_, Codegen.Built) -> None
-            | Ok _ -> failwith "codegen cold series hit a warm artefact"
-            | Error e -> failwith ("codegen cold series: " ^ e)) );
-    (* warm path: Dynlink an existing artefact (the second-process cost) *)
-    ( "codegen/dynlink_warm",
-      fun () ->
-        with_bench_cache (fun _ ->
-            let d = Lazy.force fig3_rtl in
-            (match Codegen.prepare d with
-            | Ok _ -> ()
-            | Error e -> failwith ("codegen warm series: " ^ e));
-            Codegen.clear_memo ();
-            match Codegen.instance d with
-            | Ok (_, Codegen.Disk) -> None
-            | Ok _ -> failwith "codegen warm series missed the disk cache"
-            | Error e -> failwith ("codegen warm series: " ^ e)) );
-  ]
-
-(* Raw engine throughput: drive the synthesized fig3 netlist directly —
-   per-cycle input churn, settle, clock edge, settle — with no
-   event-driven testbench around it.  The pin_rtl series above is bounded
-   by the behavioural PCI models and the scheduler (both engines sit
-   within a few percent of each other there); this axis isolates what the
-   ROADMAP's "millions of cycles/sec" item asks of the evaluator itself. *)
 let netlist_cycles = 25_000
 
-let drive_netlist ~set_input ~settle ~full_settle ~step_registers =
+let netlist_levelized () =
   let d = Lazy.force fig3_rtl in
+  let t = Hlcs_rtl.Compile.compile d in
   let inputs = Array.of_list d.Hlcs_rtl.Ir.rd_inputs in
-  full_settle ();
+  Hlcs_rtl.Compile.full_settle t;
   let s = ref 2004 in
   let next () =
     s := ((!s * 25214903917) + 11) land 0xFFFFFFFFFFFF;
@@ -551,29 +486,12 @@ let drive_netlist ~set_input ~settle ~full_settle ~step_registers =
     let k = next () mod Array.length inputs in
     let _, w = inputs.(k) in
     let v = next () land (if w >= 62 then max_int else (1 lsl w) - 1) in
-    set_input k (BV.of_int ~width:w v);
-    settle ();
-    ignore (step_registers () : bool);
-    settle ()
+    Hlcs_rtl.Compile.set_input t k (BV.of_int ~width:w v);
+    Hlcs_rtl.Compile.settle t;
+    ignore (Hlcs_rtl.Compile.step_registers t : bool);
+    Hlcs_rtl.Compile.settle t
   done;
   Some netlist_cycles
-
-let netlist_levelized () =
-  let t = Hlcs_rtl.Compile.compile (Lazy.force fig3_rtl) in
-  drive_netlist
-    ~set_input:(Hlcs_rtl.Compile.set_input t)
-    ~settle:(fun () -> Hlcs_rtl.Compile.settle t)
-    ~full_settle:(fun () -> Hlcs_rtl.Compile.full_settle t)
-    ~step_registers:(fun () -> Hlcs_rtl.Compile.step_registers t)
-
-let netlist_compiled () =
-  with_bench_cache (fun _ ->
-      match Codegen.instance (Lazy.force fig3_rtl) with
-      | Error e -> failwith ("netlist compiled series: " ^ e)
-      | Ok (i, _) ->
-          let open Hlcs_rtl.Codegen_registry in
-          drive_netlist ~set_input:i.cg_set_input ~settle:i.cg_settle
-            ~full_settle:i.cg_full_settle ~step_registers:i.cg_step_registers)
 
 (* ------------------------------------------------------------------ *)
 (* SERVE: the job daemon's protocol overhead and its restart story     *)
@@ -734,14 +652,6 @@ let series =
   @ [ ("fig3/netlist_levelized", netlist_levelized) ]
   @ serve_series
   @ synth_series
-  @ (if Codegen.available () then
-       ("fig3/netlist_compiled", netlist_compiled) :: codegen_series
-     else begin
-       (* dropped series would otherwise read as covered-and-fast *)
-       prerr_endline
-         "bench: native toolchain unavailable, codegen/* series skipped";
-       []
-     end)
 
 (* substring selection, shared by --json, --smoke and --guard *)
 let filtered ~filter entries =
@@ -801,20 +711,16 @@ let run_json ~path ~label ~repeat ~filter =
   Printf.printf "wrote %s (%d series, repeat=%d)\n" path (List.length selected) repeat
 
 (* --guard: a cheap same-process regression tripwire for the RTL engine
-   ladder — all engines run from the same binary, interleaved, over the
-   RTL series, and the run fails if the levelized engine is ever slower
-   than the legacy whole-network settle, or the compiled engine slower
-   than the levelized interpreter.  Same-process comparison avoids the
-   cross-binary noise of the committed BENCH files.  The thunks return
-   the run report so a degraded [`Compiled] probe is detected and its
-   leg skipped (the comparison would otherwise time the interpreter
-   against itself). *)
+   — the levelized engine and the legacy whole-network settle reference
+   run from the same binary, interleaved, over the RTL series, and the
+   run fails if the levelized engine is ever slower than settle.
+   Same-process comparison avoids the cross-binary noise of the committed
+   BENCH files. *)
 let guard_series : (string * (Hlcs_rtl.Sim.engine -> System.run_report)) list =
   [
     ( "fig3/pin_rtl",
       fun engine ->
-        let config = Run_config.make ~mem_bytes ~rtl_engine:engine () in
-        System.rtl config ~script:random_script );
+        System.rtl ~engine (Run_config.make ~mem_bytes ()) ~script:random_script );
     ( "fig3/sram_rtl",
       fun engine -> Sram_system.run_rtl ~engine ~mem_bytes ~script:random_script () );
   ]
@@ -822,55 +728,27 @@ let guard_series : (string * (Hlcs_rtl.Sim.engine -> System.run_report)) list =
 let run_guard () =
   let repeat = 5 and rounds = 3 in
   let failed = ref false in
-  let compiled_ok =
-    List.for_all
-      (fun (_, f) -> (f `Compiled).System.rr_engine_fallback = None)
-      guard_series
-  in
-  if not compiled_ok then
-    print_endline
-      "guard: compiled engine unavailable (no native toolchain), comparing \
-       settle vs levelized only";
   List.iter
     (fun (name, f) ->
-      let settle = ref infinity
-      and levelized = ref infinity
-      and compiled = ref infinity in
+      let settle = ref infinity and levelized = ref infinity in
       for _ = 1 to rounds do
         let s, _, _, _ = measure ~repeat (fun () -> f `Settle) in
         settle := min !settle s;
         let l, _, _, _ = measure ~repeat (fun () -> f `Levelized) in
-        levelized := min !levelized l;
-        if compiled_ok then begin
-          let c, _, _, _ = measure ~repeat (fun () -> f `Compiled) in
-          compiled := min !compiled c
-        end
+        levelized := min !levelized l
       done;
-      (* 5% head-room on the compiled leg: on runs this small the two
-         engines' settle share can drop under scheduler-noise amplitude *)
-      let lev_ok = !levelized <= !settle in
-      let comp_ok = (not compiled_ok) || !compiled <= !levelized *. 1.05 in
-      let verdict = if lev_ok && comp_ok then "ok" else "FAIL" in
+      let verdict = if !levelized <= !settle then "ok" else "FAIL" in
       if verdict = "FAIL" then failed := true;
-      Printf.printf
-        "guard %-16s settle %8.3f ms  levelized %8.3f ms (%4.2fx)  compiled %s  %s\n%!"
+      Printf.printf "guard %-16s settle %8.3f ms  levelized %8.3f ms (%4.2fx)  %s\n%!"
         name (!settle *. 1e3) (!levelized *. 1e3)
         (!settle /. !levelized)
-        (if compiled_ok then
-           Printf.sprintf "%8.3f ms (%4.2fx)" (!compiled *. 1e3)
-             (!levelized /. !compiled)
-         else "   (skipped)")
         verdict)
     guard_series;
   if !failed then begin
-    print_endline "guard: an RTL engine regressed against its reference on some series";
+    print_endline "guard: the levelized engine regressed against settle on some series";
     exit 1
   end;
-  print_endline
-    (if compiled_ok then
-       "guard: levelized no slower than settle, compiled no slower than \
-        levelized, on every RTL series"
-     else "guard: levelized engine no slower than settle on every RTL series")
+  print_endline "guard: levelized engine no slower than settle on every RTL series"
 
 (* One quick pass over every series plus the cross-configuration trace
    check: cheap enough for CI, still exercises all five interfaces. *)

@@ -75,8 +75,7 @@ let run_profile t which =
         Sram_system.run_pin ?policy:config.Run_config.rc_policy ~profile:true
           ~mem_bytes:config.Run_config.rc_mem_bytes ~script ()
     | `Sram_rtl ->
-        Sram_system.run_rtl ?policy:config.Run_config.rc_policy
-          ~engine:config.Run_config.rc_rtl_engine ~profile:true
+        Sram_system.run_rtl ?policy:config.Run_config.rc_policy ~profile:true
           ~mem_bytes:config.Run_config.rc_mem_bytes ~script ()
   in
   match rr.System.rr_profile with
@@ -100,8 +99,7 @@ let run t =
               ~cache:(c.Run_config.rc_cache <> None)
               ~profile:c.Run_config.rc_profile
               ?vcd_dir:c.Run_config.rc_vcd_prefix
-              ~max_time:c.Run_config.rc_max_time
-              ~rtl_engine:c.Run_config.rc_rtl_engine ~scenarios ()))
+              ~max_time:c.Run_config.rc_max_time ~scenarios ()))
   | Fault { n; fault_seed } ->
       let scenarios =
         Sweep.fault_scenarios ~base_seed:t.j_seed ~count:t.j_count

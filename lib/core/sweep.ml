@@ -109,7 +109,7 @@ let job_snapshots (fr : Flow.report) =
         [ a.Flow.fl_tlm; a.Flow.fl_behavioural; a.Flow.fl_rtl ]
 
 let run ?jobs ?chunk ?(cache = true) ?cache_handle ?(profile = false) ?vcd_dir
-    ?max_time ?rtl_engine ~scenarios () =
+    ?max_time ~scenarios () =
   let cache_handle =
     if not cache then None
     else
@@ -126,7 +126,7 @@ let run ?jobs ?chunk ?(cache = true) ?cache_handle ?(profile = false) ?vcd_dir
     let config =
       Run_config.make ~mem_bytes:sc.sc_mem_bytes ~mem_seed:sc.sc_mem_seed
         ~target:sc.sc_target ~policy:sc.sc_policy ?vcd_prefix ?max_time
-        ?cache:cache_handle ~profile ~faults:sc.sc_faults ?rtl_engine ()
+        ?cache:cache_handle ~profile ~faults:sc.sc_faults ()
     in
     (* [cache = false] must mean cold synthesis per run, not a fall-through
        to the process-wide {!Run_config.shared_cache} default. *)

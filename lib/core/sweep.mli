@@ -107,7 +107,6 @@ val run :
   ?profile:bool ->
   ?vcd_dir:string ->
   ?max_time:Hlcs_engine.Time.t ->
-  ?rtl_engine:Hlcs_rtl.Sim.engine ->
   scenarios:scenario list ->
   unit ->
   report
@@ -118,9 +117,7 @@ val run :
     a test) share unit fragments across calls ([cache:false] wins over
     any handle); [vcd_dir] dumps
     [<dir>/<sc_name>_{behavioural,rtl}.vcd] per job (the directory is
-    created if missing); [rtl_engine] selects the RTL evaluation engine
-    for every job ([`Compiled] amortises one code-generated artefact
-    across the whole sweep).  A crashing job is recorded in its
+    created if missing).  A crashing job is recorded in its
     [jb_failure] and fails the sweep verdict without aborting the other
     jobs. *)
 

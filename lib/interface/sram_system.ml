@@ -55,8 +55,6 @@ let wire_and_run ~label ~mem_seed ~latency ~max_time ~mem_bytes ?profile side =
     rr_profile = prof;
     rr_fault = None;
     rr_monitor = None;
-    rr_rtl_engine = None;
-    rr_engine_fallback = None;
   }
 
 let run_pin ?(label = "sram-behavioural") ?(mem_seed = 42) ?policy ?(latency = 1)
@@ -100,6 +98,4 @@ let run_rtl ?(label = "sram-rtl") ?(mem_seed = 42) ?policy ?(latency = 1)
     r with
     System.rr_profile =
       Option.map (fun sn -> Obs.with_extras sn (Sim.counters sim)) r.System.rr_profile;
-    rr_rtl_engine = Some (Sim.engine_used sim);
-    rr_engine_fallback = Sim.fallback_reason sim;
   }

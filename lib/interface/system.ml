@@ -34,10 +34,6 @@ type run_report = {
   rr_profile : Obs.snapshot option;
   rr_fault : Fault.stats option;
   rr_monitor : Monitor.report option;
-  rr_rtl_engine : Sim.engine option;
-      (** the RTL engine that actually ran (RTL configurations only) *)
-  rr_engine_fallback : string option;
-      (** why a [`Compiled] request degraded to [`Levelized], when it did *)
 }
 
 let clock_period = Time.ns 10
@@ -105,8 +101,6 @@ let tlm ?(label = "tlm") (config : Run_config.t) ~script =
     rr_profile = profile_with_faults prof fstats;
     rr_fault = fstats;
     rr_monitor = None;
-    rr_rtl_engine = None;
-    rr_engine_fallback = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -307,8 +301,7 @@ let observe_app fb ~out_port =
   ignore (Kernel.spawn fb.fb_kernel ~name:"stopper" stopper);
   obs
 
-let finish_pin ?rtl_engine ?engine_fallback ~label ~fabric ~obs ~wall ~prof
-    ~synthesis ~fstats ~monitor () =
+let finish_pin ~label ~fabric ~obs ~wall ~prof ~synthesis ~fstats ~monitor () =
   Option.iter Vcd.close fabric.fb_vcd;
   let monitor_report =
     Option.map
@@ -331,8 +324,6 @@ let finish_pin ?rtl_engine ?engine_fallback ~label ~fabric ~obs ~wall ~prof
     rr_profile = profile_with_faults prof fstats;
     rr_fault = fstats;
     rr_monitor = monitor_report;
-    rr_rtl_engine = rtl_engine;
-    rr_engine_fallback = engine_fallback;
   }
 
 let pin_with_vcd ~label ~vcd ?design (config : Run_config.t) ~script =
@@ -359,7 +350,7 @@ let pin ?(label = "pin-behavioural") ?design config ~script =
   pin_with_vcd ~label ~vcd:(Run_config.vcd_file config "behavioural") ?design
     config ~script
 
-let rtl_with_vcd ~label ~vcd ?design (config : Run_config.t) ~script =
+let rtl_with_vcd ?engine ~label ~vcd ?design (config : Run_config.t) ~script =
   let design =
     match design with
     | Some d -> d
@@ -378,8 +369,8 @@ let rtl_with_vcd ~label ~vcd ?design (config : Run_config.t) ~script =
   let fabric = fabric_of_config config ~vcd fstats in
   let monitor = attach_monitors config fabric in
   let sim =
-    Sim.elaborate fabric.fb_kernel ~clock:fabric.fb_clock
-      ~engine:config.Run_config.rc_rtl_engine report.Synthesize.rp_rtl
+    Sim.elaborate fabric.fb_kernel ~clock:fabric.fb_clock ?engine
+      report.Synthesize.rp_rtl
   in
   connect_pads fabric ~in_port:(Sim.in_port sim) ~out_port:(Sim.out_port sim);
   let obs = observe_app fabric ~out_port:(Sim.out_port sim) in
@@ -390,14 +381,12 @@ let rtl_with_vcd ~label ~vcd ?design (config : Run_config.t) ~script =
   (* RTL-engine counters ride the snapshot as extras, ahead of any fault
      extras appended by [finish_pin] *)
   let prof = Option.map (fun sn -> Obs.with_extras sn (Sim.counters sim)) prof in
-  finish_pin
-    ~rtl_engine:(Sim.engine_used sim)
-    ?engine_fallback:(Sim.fallback_reason sim)
-    ~label ~fabric ~obs ~wall ~prof ~synthesis:(Some report) ~fstats ~monitor ()
+  finish_pin ~label ~fabric ~obs ~wall ~prof ~synthesis:(Some report) ~fstats
+    ~monitor ()
 
-let rtl ?(label = "pin-rtl") ?design config ~script =
-  rtl_with_vcd ~label ~vcd:(Run_config.vcd_file config "rtl") ?design config
-    ~script
+let rtl ?(label = "pin-rtl") ?design ?engine config ~script =
+  rtl_with_vcd ?engine ~label ~vcd:(Run_config.vcd_file config "rtl") ?design
+    config ~script
 
 (* ------------------------------------------------------------------ *)
 (* Deprecated optional-argument wrappers (pre-Run_config API).  The old

@@ -44,13 +44,6 @@ type run_report = {
       (** [Some] iff the config declared temporal monitors
           ([rc_monitors <> []]); always [None] for TLM runs (no bus to
           observe) *)
-  rr_rtl_engine : Hlcs_rtl.Sim.engine option;
-      (** RTL runs only: the engine that actually executed
-          ({!Hlcs_rtl.Sim.engine_used}), which differs from the requested
-          [rc_rtl_engine] exactly when a [`Compiled] request degraded *)
-  rr_engine_fallback : string option;
-      (** RTL runs only: why a [`Compiled] request degraded to
-          [`Levelized], when it did ({!Hlcs_rtl.Sim.fallback_reason}) *)
 }
 
 val clock_period : Hlcs_engine.Time.t
@@ -108,11 +101,14 @@ val pin :
 val rtl :
   ?label:string ->
   ?design:Hlcs_hlir.Ast.design ->
+  ?engine:Hlcs_rtl.Sim.engine ->
   Run_config.t ->
   script:Hlcs_pci.Pci_types.request list ->
   run_report
 (** Configuration C: synthesise (through the config's cache when set) and
-    re-simulate at RT level.  A VCD prefix dumps [<prefix>_rtl.vcd]. *)
+    re-simulate at RT level.  A VCD prefix dumps [<prefix>_rtl.vcd].
+    [engine] (default [`Levelized]) selects the {!Hlcs_rtl.Sim.engine};
+    only the differential tests and the bench guard pass [`Settle]. *)
 
 (** {1 Deprecated wrappers}
 

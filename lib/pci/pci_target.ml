@@ -227,9 +227,19 @@ let create kernel ~bus ~memory cfg =
           trdy_low := false;
           Resolved.release d_ad;
           driving_ad := None;
-          data_phases (addr + 4) cmd (done_phases + 1)
+          if in_window (addr + 4) then data_phases (addr + 4) cmd (done_phases + 1)
+          else past_window ()
         end
       end
+    and past_window () =
+      (* the master continues a burst past the end of the window:
+         disconnect without data (STOP# with TRDY# deasserted) instead of
+         touching memory that is not there, so the master's continuation
+         at the first outside address ends in a master abort *)
+      Resolved.drive d_stop zero;
+      Clock.wait_rising clk;
+      drive_par_for_ad ();
+      backoff ()
     in
     idle ()
   in

@@ -8,7 +8,7 @@ type observer = { obs_output : port:string -> value:Bitvec.t -> unit }
 
 let no_observer = { obs_output = (fun ~port:_ ~value:_ -> ()) }
 
-type engine = [ `Settle | `Levelized | `Compiled ]
+type engine = [ `Levelized | `Settle ]
 
 (* The legacy whole-network evaluator: closure trees over Bitvec slots,
    every settle re-evaluates every assignment.  Kept as the differential-
@@ -28,12 +28,7 @@ type legacy = {
   mutable l_settles : int;
 }
 
-type impl =
-  | Legacy of legacy
-  | Level of Compile.t
-  | Gen of Codegen_registry.inst * Codegen.provenance
-      (** Dynlink-loaded generated code (see {!Codegen}), with where the
-          artefact came from (memo / disk cache / compiled now) *)
+type impl = Legacy of legacy | Level of Compile.t
 
 type t = {
   st_design : design;
@@ -41,9 +36,6 @@ type t = {
   st_outputs : (string, Bitvec.t Signal.t) Hashtbl.t;
   st_reg_by_name : (string, reg) Hashtbl.t;
   st_impl : impl;
-  st_fallback : string option;
-      (** set when [`Compiled] was requested but codegen was unavailable
-          and the run degraded to [`Levelized] *)
   mutable st_drives : (string * Bitvec.t Signal.t * (unit -> Bitvec.t)) array;
   mutable st_cycles : int;
 }
@@ -157,35 +149,21 @@ let step t observer =
       (* same phase structure, but each settle re-evaluates only the
          transitive fanout of what actually changed *)
       Compile.settle c;
-      if Compile.step_registers c then Compile.settle c
-  | Gen (g, _) ->
-      g.Codegen_registry.cg_settle ();
-      if g.Codegen_registry.cg_step_registers () then g.Codegen_registry.cg_settle ());
+      if Compile.step_registers c then Compile.settle c);
   drive_outputs t observer;
   t.st_cycles <- t.st_cycles + 1
 
 let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) design =
   (* the levelized path validates inside [Compile.compile] (memoized per
-     design, so a cached design is not re-checked); the other paths need
-     their own validation pass *)
+     design, so a cached design is not re-checked); the reference path
+     needs its own validation pass *)
   (match engine with
   | `Levelized -> ()
-  | `Settle | `Compiled -> (
+  | `Settle -> (
       match Ir.validate design with
       | Ok () -> ()
       | Error (d :: _) -> invalid_arg ("Rtl.Sim.elaborate: " ^ d)
       | Error [] -> ()));
-  (* a [`Compiled] request degrades to [`Levelized] (recording why) when
-     code generation is unavailable: same results, interpreted *)
-  let resolved, st_fallback =
-    match engine with
-    | `Compiled -> (
-        match Codegen.instance design with
-        | Ok (inst, prov) -> (`Gen (inst, prov), None)
-        | Error reason -> (`Interp, Some reason))
-    | `Levelized -> (`Interp, None)
-    | `Settle -> (`Legacy, None)
-  in
   let st_inputs = Hashtbl.create 16 in
   let st_outputs = Hashtbl.create 16 in
   let st_reg_by_name = Hashtbl.create 16 in
@@ -205,15 +183,8 @@ let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) des
            ~eq:Bitvec.equal (Bitvec.zero width)))
     design.rd_outputs;
   let impl, drive_fns =
-    match resolved with
-    | `Gen (inst, prov) ->
-        List.iteri
-          (fun i (name, _) ->
-            Signal.on_commit (Hashtbl.find st_inputs name) (fun _ v ->
-                inst.Codegen_registry.cg_set_input i v))
-          design.rd_inputs;
-        (Gen (inst, prov), inst.Codegen_registry.cg_drives)
-    | `Interp ->
+    match engine with
+    | `Levelized ->
         let c = Compile.compile design in
         (* commit tracers fire only on actual value changes, so each one
            feeds the changed value straight into the compiled tables and
@@ -224,7 +195,7 @@ let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) des
                 Compile.set_input c i v))
           design.rd_inputs;
         (Level c, Compile.drives c)
-    | `Legacy ->
+    | `Settle ->
         let max_wire =
           List.fold_left (fun m w -> max m (w.w_id + 1)) 0 design.rd_wires
         in
@@ -273,7 +244,6 @@ let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) des
       st_outputs;
       st_reg_by_name;
       st_impl = impl;
-      st_fallback;
       st_drives =
         Array.map (fun (name, f) -> (name, Hashtbl.find st_outputs name, f)) drive_fns;
       st_cycles = 0;
@@ -293,8 +263,7 @@ let elaborate kernel ~clock ?(observer = no_observer) ?(engine = `Levelized) des
            started := true;
            (match t.st_impl with
            | Legacy lg -> settle_legacy lg
-           | Level c -> Compile.full_settle c
-           | Gen (g, _) -> g.Codegen_registry.cg_full_settle ());
+           | Level c -> Compile.full_settle c);
            drive_outputs t observer
          end));
   t
@@ -307,31 +276,14 @@ let reg_value t name =
   match t.st_impl with
   | Legacy lg -> lg.l_regs.(r.r_id)
   | Level c -> Compile.reg_value c r
-  | Gen (g, _) -> g.Codegen_registry.cg_reg_value r.r_id
 
 let reg_names t = List.map (fun r -> r.r_name) t.st_design.rd_regs
 let cycles t = t.st_cycles
 
-let engine_used t : engine =
-  match t.st_impl with
-  | Legacy _ -> `Settle
-  | Level _ -> `Levelized
-  | Gen _ -> `Compiled
-
-let fallback_reason t = t.st_fallback
-
 let counters t =
   (* [rtl_engine] is the per-engine tag: 0 = settle (legacy reference),
-     1 = levelized interpreter, 2 = compiled generated code *)
+     1 = levelized *)
   match t.st_impl with
-  | Gen (g, prov) ->
-      ("rtl_engine", 2)
-      :: g.Codegen_registry.cg_counters ()
-      @ [
-          ( "codegen_cache_hit",
-            match prov with Codegen.Memo | Codegen.Disk -> 1 | Codegen.Built -> 0 );
-          ("codegen_compiled", match prov with Codegen.Built -> 1 | _ -> 0);
-        ]
   | Level c -> ("rtl_engine", 1) :: Compile.counters c
   | Legacy lg ->
       (* the reference engine re-evaluates the whole network (boxed) on

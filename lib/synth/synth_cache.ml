@@ -27,15 +27,14 @@
    requester publishes the result.  Either way they are counted as hits —
    the synthesiser ran once.
 
-   Disk tier: modelled on the codegen artefact cache.  A cache created
-   with a disk directory persists every successful synthesis as
-   [hlcs_sy_<key>-<fpr>.bin] (report tier) and every fragment as
-   [hlcs_syu_<sig>-<fpr>.bin], each a small header, a digest of the
-   payload, then the marshalled value, written to a temp file and renamed
-   so a concurrent process never observes a torn entry.  A memory miss
-   probes the disk before synthesising; a valid entry loads (a report
-   load counts as a [disk_hits]) and a corrupt or truncated one is
-   deleted and rebuilt.  The fingerprint (compiler version + cache format
+   Disk tier.  A cache created with a disk directory persists every
+   successful synthesis as [hlcs_sy_<key>-<fpr>.bin] (report tier) and
+   every fragment as [hlcs_syu_<sig>-<fpr>.bin], each a small header, a
+   digest of the payload, then the marshalled value, written to a temp
+   file and renamed so a concurrent process never observes a torn entry.
+   A memory miss probes the disk before synthesising; a valid entry loads
+   (a report load counts as a [disk_hits]) and a corrupt or truncated one
+   is deleted and rebuilt.  The fingerprint (compiler version + cache format
    version) keys the file name; opening the directory prunes every
    [hlcs_sy*] blob written under a foreign fingerprint, so entries from
    an incompatible runtime are deleted rather than unmarshalled and the

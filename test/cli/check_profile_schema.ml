@@ -173,7 +173,7 @@ let counter_keys =
   ]
 
 (* the RTL-engine extras the simulator attaches to the snapshot;
-   rtl_engine tags which evaluator ran (0 settle, 1 levelized, 2 compiled) *)
+   rtl_engine tags which evaluator ran (0 settle, 1 levelized) *)
 let rtl_keys =
   [
     "rtl_engine"; "rtl_levels"; "rtl_nodes"; "rtl_settles";
@@ -238,6 +238,14 @@ let check_profile ~require_rtl ctx envelope =
     | Some v -> Some (int_map ctx "extras" v)
     | None -> None
   in
+  (* the artefact-provenance counters of the removed code-generating
+     engine must not reappear *)
+  Option.iter
+    (fun ex ->
+      List.iter
+        (fun k -> if List.mem_assoc k ex then complain "%s: unexpected extra %S" ctx k)
+        [ "codegen_cache_hit"; "codegen_compiled" ])
+    extras;
   if require_rtl then
     match extras with
     | None -> complain "%s: RTL profile carries no \"extras\"" ctx
@@ -255,25 +263,10 @@ let check_profile ~require_rtl ctx envelope =
         if get "rtl_levels" < 1 then complain "%s: rtl_levels must be >= 1" ctx;
         if get "rtl_nodes" < 1 then complain "%s: rtl_nodes must be >= 1" ctx;
         let engine = get "rtl_engine" in
-        if engine < 0 || engine > 2 then
-          complain "%s: rtl_engine must be 0 (settle), 1 (levelized) or 2 (compiled)"
-            ctx;
-        if engine >= 1 && get "rtl_settles" < 1 then
-          complain "%s: incremental engine reports no settles" ctx;
-        if engine = 2 then begin
-          (* a compiled run declares where its artefact came from: reused
-             from memo/disk or built by this process, exactly one of the
-             two *)
-          List.iter
-            (fun k ->
-              if not (List.mem_assoc k ex) then
-                complain "%s: compiled profile missing %S" ctx k)
-            [ "codegen_cache_hit"; "codegen_compiled" ];
-          if get "codegen_cache_hit" + get "codegen_compiled" <> 1 then
-            complain
-              "%s: compiled profile must report exactly one of cache_hit/compiled"
-              ctx
-        end
+        if engine <> 0 && engine <> 1 then
+          complain "%s: rtl_engine must be 0 (settle) or 1 (levelized)" ctx;
+        if engine = 1 && get "rtl_settles" < 1 then
+          complain "%s: incremental engine reports no settles" ctx
 
 let read_file path =
   let ic = open_in_bin path in

@@ -191,11 +191,7 @@ let cec_agrees_with_simulation =
 let script = Pci_stim.directed_smoke ~base:0
 
 let run_system engine ~vcd_prefix =
-  let config =
-    Run_config.make ~mem_bytes:512 ?vcd_prefix
-      ~rtl_engine:engine ()
-  in
-  System.rtl config ~script
+  System.rtl ~engine (Run_config.make ~mem_bytes:512 ?vcd_prefix ()) ~script
 
 let check_engines_agree_on_system () =
   let a = run_system `Settle ~vcd_prefix:None in

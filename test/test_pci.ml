@@ -193,6 +193,95 @@ let check_master_abort () =
   Alcotest.(check bool) "monitor saw the abort" true
     (List.mem Pci_types.Master_abort terminations)
 
+let check_burst_past_window () =
+  (* a 4-word burst starting 8 bytes before the end of a 256-byte window:
+     the two in-window words transfer, the target disconnects at the
+     first outside address, and the master's continuation there aborts *)
+  let data = [ 0x11; 0x22; 0x33; 0x44 ] in
+  let rig, outcomes =
+    run_script ~mem_bytes:256
+      [
+        { Pci_types.rq_command = Mem_write; rq_address = 248; rq_length = 4; rq_data = data };
+        { Pci_types.rq_command = Mem_read; rq_address = 248; rq_length = 4; rq_data = [] };
+      ]
+  in
+  no_violations rig;
+  (match outcomes with
+  | [ w; r ] ->
+      Alcotest.(check bool) "write continuation aborted" true w.Pci_master.out_aborted;
+      Alcotest.(check bool) "read continuation aborted" true r.Pci_master.out_aborted;
+      Alcotest.(check (list int)) "exactly the in-window words read" [ 0x11; 0x22 ]
+        r.Pci_master.out_data
+  | _ -> Alcotest.fail "expected two outcomes");
+  let expected = Pci_memory.create ~size_bytes:256 in
+  Pci_memory.write32 expected 248 0x11;
+  Pci_memory.write32 expected 252 0x22;
+  Alcotest.(check bool) "only the two in-window words written" true
+    (Pci_memory.equal expected rig.rig_memory);
+  let terminations =
+    List.map (fun t -> t.Pci_types.tx_termination) (Pci_monitor.transactions rig.rig_monitor)
+  in
+  Alcotest.(check bool) "in-window part disconnected" true
+    (List.mem (Pci_types.Disconnect 2) terminations);
+  Alcotest.(check int) "both continuations master-aborted" 2
+    (List.length (List.filter (( = ) Pci_types.Master_abort) terminations))
+
+(* Job 56-glitch#2 of the pin-mode swarm campaign with base seed
+   687376895 (fault seed 1, 12 requests, 1024 bytes, 20 us watchdog):
+   its glitch let a burst run past the end of the target window, and
+   the target process died on the out-of-range memory access. *)
+let swarm_seed = 687376895
+let swarm_watchdog = T.us 20
+
+let check_glitch_burst_replay () =
+  let module Fault = Hlcs_fault.Fault in
+  let module RC = Hlcs_interface.Run_config in
+  let module System = Hlcs_interface.System in
+  let family = 5 and index = 2 in
+  Alcotest.(check string) "family" "glitch" (List.nth Fault.families family);
+  let _, plan = Fault.family_scenario ~seed:1 ~family index in
+  let script =
+    Pci_stim.write_then_read_all
+      (Pci_stim.random
+         ~seed:(swarm_seed + (7 * index) + family)
+         ~count:12 ~base:0 ~size_bytes:1024 ())
+  in
+  let rc =
+    RC.make ~mem_bytes:1024 ~policy:Hlcs_osss.Policy.Fcfs ~max_time:swarm_watchdog
+      ~faults:plan ~monitors:System.pci_monitor_specs ()
+  in
+  (match System.pin rc ~script with
+  | _ -> ()
+  | exception e -> Alcotest.failf "job 56-glitch#2 crashed: %s" (Printexc.to_string e));
+  (* the whole campaign, as a Job.Swarm client submits it *)
+  let job =
+    {
+      Hlcs.Job.default with
+      Hlcs.Job.j_kind =
+        Hlcs.Job.Swarm
+          {
+            budget = 64;
+            batch = 4;
+            epsilon = Hlcs_verify.Swarm.default_config.Hlcs_verify.Swarm.sw_epsilon;
+            guided = true;
+            target_ratio = None;
+            mode = `Pin;
+            fault_seed = 1;
+          };
+      j_seed = swarm_seed;
+      j_count = 12;
+      j_jobs = Some 1;
+      j_config = RC.default |> RC.with_mem_bytes 1024 |> RC.with_max_time swarm_watchdog;
+    }
+  in
+  match Hlcs.Job.run job with
+  | Ok (Hlcs.Job.Swarm_result (r, _)) ->
+      Alcotest.(check int) "budget spent" 64 r.Hlcs_verify.Swarm.sr_jobs;
+      Alcotest.(check (list (pair string string))) "no job crashed" []
+        r.Hlcs_verify.Swarm.sr_failures
+  | Ok _ -> Alcotest.fail "non-swarm outcome"
+  | Error e -> Alcotest.fail e
+
 let check_config_ignored () =
   (* the memory target must not claim configuration commands *)
   let rig, outcomes =
@@ -332,6 +421,8 @@ let tests =
         Alcotest.test_case "retry absorbed" `Quick check_retry;
         Alcotest.test_case "disconnect resume" `Quick check_disconnect;
         Alcotest.test_case "master abort" `Quick check_master_abort;
+        Alcotest.test_case "burst past the window end" `Quick check_burst_past_window;
+        Alcotest.test_case "swarm glitch job replay" `Quick check_glitch_burst_replay;
         Alcotest.test_case "config commands unclaimed" `Quick check_config_ignored;
         Alcotest.test_case "monitor catches rogue master" `Quick check_monitor_catches_bad_master;
         Alcotest.test_case "two masters arbitrated" `Quick check_two_masters_share_bus;
