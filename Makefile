@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test lint check ci bench bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke clean
+.PHONY: all build test lint check ci bench bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke examples-smoke clean
 
 all: build
 
@@ -20,7 +20,7 @@ check: build test lint
 # Everything a PR must pass, including one pass over every bench series
 # (tiny iteration counts) so the perf code paths are compiled and exercised
 # even when nobody is looking at the numbers.
-ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke
+ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke examples-smoke
 
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
@@ -86,6 +86,23 @@ verilog-smoke:
 # proof reports against the strict schema (same as `dune build @equiv`).
 equiv-smoke:
 	dune build @equiv
+
+# Run every example executable in a fresh temporary directory (some
+# write VCD files into the working directory); fails on the first
+# non-zero exit, printing that example's output.
+EXAMPLES = quickstart bistable pci_transfer refinement_flow synthesis_demo \
+  polymorphism interface_library dma_copy
+
+examples-smoke:
+	dune build $(EXAMPLES:%=examples/%.exe)
+	@for ex in $(EXAMPLES); do \
+	  dir=$$(mktemp -d) || exit 1; \
+	  if (cd $$dir && $(CURDIR)/_build/default/examples/$$ex.exe > out.txt 2>&1); then \
+	    echo "examples-smoke: $$ex ok"; rm -rf $$dir; \
+	  else \
+	    cat $$dir/out.txt; echo "examples-smoke: $$ex FAILED"; rm -rf $$dir; exit 1; \
+	  fi; \
+	done
 
 # The full wall-clock series (see BENCH_pr2.json for the committed
 # trajectory): min-of-N, one JSON document per run.

@@ -26,13 +26,14 @@ let () =
       (Pci_stim.random ~seed:99 ~count:10 ~base:0 ~size_bytes:mem_bytes ())
   in
   Printf.printf "application workload: %d requests\n\n" (List.length script);
+  let config = Run_config.make ~mem_bytes () in
   let runs =
     [
-      System.run_tlm ~mem_bytes ~script ();
-      System.run_pin ~mem_bytes ~script ();
-      System.run_rtl ~mem_bytes ~script ();
-      Sram_system.run_pin ~mem_bytes ~script ();
-      Sram_system.run_rtl ~mem_bytes ~script ();
+      System.tlm config ~script;
+      System.pin config ~script;
+      System.rtl config ~script;
+      Sram_system.pin config ~script;
+      Sram_system.rtl config ~script;
     ]
   in
   Printf.printf "%-20s %10s %10s %12s\n" "interface" "cycles" "read-backs" "wall (s)";

@@ -26,17 +26,18 @@ let () =
         { Pci_types.rq_command = Mem_read_line; rq_address = 0x40; rq_length = 8; rq_data = [] };
       ]
   in
-  let behavioural =
-    System.run_pin ~vcd:"pci_behavioural.vcd" ~mem_bytes:512 ~script ()
-  in
-  let rtl = System.run_rtl ~vcd:"pci_rtl.vcd" ~mem_bytes:512 ~script () in
+  (* prefix "pci" names the dumps pci_behavioural.vcd and pci_rtl.vcd *)
+  let config = Run_config.make ~mem_bytes:512 ~vcd_prefix:"pci" () in
+  let behavioural = System.pin config ~script in
+  let rtl = System.rtl config ~script in
   Format.printf "%a@.%a@." System.pp_report behavioural System.pp_report rtl;
   print_endline "bus transactions observed by the protocol monitor:";
   List.iter
     (fun tx -> Format.printf "  %a@." Pci_types.pp_transaction tx)
     behavioural.System.rr_transactions;
-  Printf.printf "behavioural == post-synthesis transaction trace: %b\n"
-    (System.compare_bus_traces behavioural rtl = []);
-  Printf.printf "application observations match: %b\n"
-    (System.compare_runs behavioural rtl = []);
-  print_endline "waveforms written to pci_behavioural.vcd and pci_rtl.vcd"
+  let same_trace = System.compare_bus_traces behavioural rtl = [] in
+  let same_obs = System.compare_runs behavioural rtl = [] in
+  Printf.printf "behavioural == post-synthesis transaction trace: %b\n" same_trace;
+  Printf.printf "application observations match: %b\n" same_obs;
+  print_endline "waveforms written to pci_behavioural.vcd and pci_rtl.vcd";
+  exit (if same_trace && same_obs then 0 else 1)

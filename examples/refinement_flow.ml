@@ -28,7 +28,8 @@ let () =
     { Pci_target.default_config with devsel_latency = 2; wait_states = 1;
       retry_every = Some 6 }
   in
-  let report = Flow.run ~mem_bytes:1024 ~target ~script () in
+  let config = Hlcs_interface.Run_config.make ~mem_bytes:1024 ~target () in
+  let report = Flow.execute ~config ~script () in
   Format.printf "%a@." Flow.pp_report report;
   (match report.Flow.fl_artefacts with
   | None -> print_endline "static analysis rejected the design; no simulations run"

@@ -71,12 +71,8 @@ let run_profile t which =
     | `Tlm -> System.tlm config ~script
     | `Pin -> System.pin config ~script
     | `Rtl -> System.rtl config ~script
-    | `Sram_pin ->
-        Sram_system.run_pin ?policy:config.Run_config.rc_policy ~profile:true
-          ~mem_bytes:config.Run_config.rc_mem_bytes ~script ()
-    | `Sram_rtl ->
-        Sram_system.run_rtl ?policy:config.Run_config.rc_policy ~profile:true
-          ~mem_bytes:config.Run_config.rc_mem_bytes ~script ()
+    | `Sram_pin -> Sram_system.pin config ~script
+    | `Sram_rtl -> Sram_system.rtl config ~script
   in
   match rr.System.rr_profile with
   | None -> Error "profiling produced no snapshot"

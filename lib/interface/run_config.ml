@@ -61,6 +61,11 @@ let with_monitors rc_monitors t = { t with rc_monitors }
 let vcd_file t suffix =
   Option.map (fun p -> p ^ "_" ^ suffix ^ ".vcd") t.rc_vcd_prefix
 
+let synthesize t design =
+  match t.rc_cache with
+  | Some c -> Synth_cache.synthesize c ?options:t.rc_synth_options design
+  | None -> Synthesize.synthesize ?options:t.rc_synth_options design
+
 (* ------------------------------------------------------------------ *)
 (* Versioned JSON codec.
 
@@ -75,9 +80,11 @@ let vcd_file t suffix =
      list of stock spec names from {!Monitor_specs}; only registry specs
      survive a round trip, and unknown names are decode errors.
 
-   Older version-1 documents may carry an [rtl_engine] member from when
-   the RTL engine was selectable; decoding ignores it (every engine
-   produced byte-identical results). *)
+   Older version-1 documents may carry two members no longer emitted:
+   [rtl_engine], from when the RTL engine was selectable, which decoding
+   ignores (every engine produced byte-identical results); and the
+   target's [base_address], from when its window could start elsewhere,
+   which decoding accepts only as 0 (every shipped run used 0). *)
 
 module Json = Hlcs_json.Json
 
@@ -119,7 +126,6 @@ let json_opt_int = function None -> Json.Null | Some i -> Json.Int i
 let target_to_json (tgt : Pci_target.config) =
   Json.Obj
     [
-      ("base_address", Json.Int tgt.Pci_target.base_address);
       ("devsel_latency", Json.Int tgt.Pci_target.devsel_latency);
       ("wait_states", Json.Int tgt.Pci_target.wait_states);
       ("retry_every", json_opt_int tgt.Pci_target.retry_every);
@@ -130,7 +136,15 @@ let target_to_json (tgt : Pci_target.config) =
 let ( let* ) = Result.bind
 
 let target_of_json j =
-  let* base_address = Json.int_field "base_address" j in
+  let* () =
+    match Json.member "base_address" j with
+    | None | Some (Json.Int 0) -> Ok ()
+    | Some v ->
+        Error
+          (Printf.sprintf
+             "member \"base_address\": the target window starts at 0, got %s"
+             (Json.to_string v))
+  in
   let* devsel_latency = Json.int_field "devsel_latency" j in
   let* wait_states = Json.int_field "wait_states" j in
   let* retry_every = Json.opt_field "retry_every" j Json.to_int in
@@ -138,8 +152,7 @@ let target_of_json j =
   let* ignore_every = Json.opt_field "ignore_every" j Json.to_int in
   Ok
     {
-      Pci_target.base_address;
-      devsel_latency;
+      Pci_target.devsel_latency;
       wait_states;
       retry_every;
       disconnect_after;
@@ -398,8 +411,8 @@ let effective_target t =
       | None -> tgt.Pci_target.ignore_every);
   }
 
-(* Build-style setters taking labelled optionals in one shot, for callers
-   migrating from the old optional-argument API. *)
+(* all the setters in one call, each optional argument applied over
+   [default] *)
 let make ?mem_bytes ?mem_seed ?policy ?target ?synth_options ?vcd_prefix
     ?max_time ?profile ?cache ?faults ?equiv ?monitors () =
   let t = default in

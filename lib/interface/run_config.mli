@@ -1,11 +1,11 @@
 (** The one record that configures a simulation run.
 
-    Every knob the configuration runners ({!System.tlm}, {!System.pin},
-    {!System.rtl}), the flow driver and the sweep used to take as a cloud
-    of optional arguments lives here instead: build one with {!default}
-    and the [with_*] setters (or {!make}), pass it everywhere.  The old
-    optional-argument entry points remain as thin wrappers over this
-    record and should not be used in new code. *)
+    Every configuration runner takes one: the PCI runners ({!System.tlm},
+    {!System.pin}, {!System.rtl}), the SRAM runners ({!Sram_system.pin},
+    {!Sram_system.rtl}), the flow driver ([Flow.execute]) and the sweep.
+    Build one with {!default} and the [with_*] setters (or {!make}) and
+    pass it everywhere; there is no second, optional-argument way to
+    configure a run. *)
 
 type t = {
   rc_mem_bytes : int;  (** target memory size *)
@@ -71,11 +71,16 @@ val make :
   ?monitors:Hlcs_verify.Monitor.spec list ->
   unit ->
   t
-(** All-optionals constructor over {!default}; the bridge the deprecated
-    wrappers use. *)
+(** Every setter in one call: each given argument is applied over
+    {!default} by its [with_*] setter. *)
 
 val vcd_file : t -> string -> string option
 (** [vcd_file t suffix] is [<prefix>_<suffix>.vcd] when a prefix is set. *)
+
+val synthesize : t -> Hlcs_hlir.Ast.design -> Hlcs_synth.Synthesize.report
+(** Synthesise [design] with the config's [rc_synth_options], through
+    [rc_cache] when it has one and cold when it has none.  Every runner
+    that synthesises goes through here. *)
 
 val effective_target : t -> Hlcs_pci.Pci_target.config
 (** [rc_target] with the fault plan's {!Hlcs_fault.Fault.target_faults}
@@ -96,9 +101,12 @@ val effective_target : t -> Hlcs_pci.Pci_target.config
     - [rc_monitors] becomes a list of stock spec names resolved through
       {!Monitor_specs}; unknown names are decode errors.
 
-    Version-1 documents written before the RTL engine became fixed may
-    still carry an [rtl_engine] member; it is accepted and ignored, since
-    every engine produced byte-identical results.
+    Version-1 documents may still carry two members this build no longer
+    writes.  An [rtl_engine] member, from before the RTL engine became
+    fixed, is accepted and ignored, since every engine produced
+    byte-identical results.  A target [base_address] member, from before
+    the target window became [[0, mem_bytes)], is accepted when it is [0]
+    and is a decode error naming the member otherwise.
 
     [of_json (parse (to_json t))] succeeds for every [t] whose monitors
     come from the registry, and the composite

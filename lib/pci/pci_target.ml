@@ -6,7 +6,6 @@ module Lvec = Hlcs_logic.Lvec
 module Bitvec = Hlcs_logic.Bitvec
 
 type config = {
-  base_address : int;
   devsel_latency : int;
   wait_states : int;
   retry_every : int option;
@@ -16,7 +15,6 @@ type config = {
 
 let default_config =
   {
-    base_address = 0;
     devsel_latency = 1;
     wait_states = 0;
     retry_every = None;
@@ -59,9 +57,7 @@ let create kernel ~bus ~memory cfg =
   and d_par = Resolved.make_driver bus.Pci_bus.par "target.par" in
   let one = Lvec.of_bitvec (Bitvec.of_int ~width:1 1)
   and zero = Lvec.of_bitvec (Bitvec.of_int ~width:1 0) in
-  let in_window addr =
-    addr >= cfg.base_address && addr < cfg.base_address + Pci_memory.size_bytes t.mem
-  in
+  let in_window addr = addr >= 0 && addr < Pci_memory.size_bytes t.mem in
   let sample net = Pci_bus.asserted net in
   let body () =
     let clk = bus.Pci_bus.clock in

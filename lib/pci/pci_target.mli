@@ -1,13 +1,13 @@
 (** A pin-accurate PCI target device (memory-mapped RAM): one of the
     "memories, peripherals" IP models of the paper's executable system
-    model.  The target claims addresses inside its window, inserts a
+    model.  The target claims addresses inside its window — [0] up to the
+    size of its memory, which is indexed by the bus address — inserts a
     configurable DEVSEL# latency and per-data-phase wait states, supports
     bursts with linear address increment, and can be configured to answer
     with Retry or to Disconnect long bursts — the fault-injection knobs the
     test suite uses. *)
 
 type config = {
-  base_address : int;  (** start of the decoded window (word aligned) *)
   devsel_latency : int;  (** cycles from address phase to DEVSEL#, >= 1 *)
   wait_states : int;  (** cycles TRDY# is withheld per data phase *)
   retry_every : int option;
@@ -22,7 +22,7 @@ type config = {
 }
 
 val default_config : config
-(** base 0, fast DEVSEL# (1 cycle), no wait states, no retry/disconnect. *)
+(** fast DEVSEL# (1 cycle), no wait states, no retry/disconnect. *)
 
 type t
 

@@ -6,161 +6,16 @@
    counts (structural + SAT-backed must account for every check), the
    summed solver statistics, a counterexample that is null exactly when
    the verdict is "equivalent", and diagnostics whose category is
-   "equiv" with counts that agree with the severity histogram.  No
-   external JSON library is assumed; the parser mirrors
-   check_profile_schema.ml. *)
+   "equiv" with counts that agree with the severity histogram. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s (at byte %d)" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let string_ () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
-          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'u' ->
-              advance ();
-              let code = ref 0 in
-              for _ = 1 to 4 do
-                (match peek () with
-                | Some ('0' .. '9' as c) -> code := (!code * 16) + (Char.code c - 48)
-                | Some ('a' .. 'f' as c) -> code := (!code * 16) + (Char.code c - 87)
-                | Some ('A' .. 'F' as c) -> code := (!code * 16) + (Char.code c - 55)
-                | _ -> fail "bad \\u escape");
-                advance ()
-              done;
-              Buffer.add_char buf (Char.chr (!code land 0x7f));
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let member () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-          advance ();
-          true
-      | _ -> false
-    in
-    while member () do () done;
-    if !pos = start then fail "expected a number";
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = string_ () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some '"' -> Str (string_ ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> number () |> fun f -> Num f
-    | _ -> fail "expected a JSON value"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage after JSON value";
-  v
+open Check_common
 
 (* --- the equivalence-report schema ------------------------------------- *)
 
-let errors = ref []
-let complain fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt
-
-let field obj name =
-  match obj with Obj members -> List.assoc_opt name members | _ -> None
-
-let as_int ctx name = function
-  | Some (Num f) when Float.is_integer f && f >= 0.0 -> int_of_float f
+(* shadows [Check_common.as_int]: a missing field is a complaint here *)
+let as_int ctx name v =
+  match Option.map integer v with
+  | Some (Some i) when i >= 0 -> i
   | Some _ ->
       complain "%s: %S must be a non-negative integer" ctx name;
       0
@@ -169,7 +24,7 @@ let as_int ctx name = function
       0
 
 let as_str ctx name = function
-  | Some (Str s) -> s
+  | Some (Json.String s) -> s
   | Some _ ->
       complain "%s: %S must be a string" ctx name;
       ""
@@ -184,7 +39,7 @@ let stats_keys =
   ]
 
 let check_pins ctx name = function
-  | Some (Arr pins) ->
+  | Some (Json.List pins) ->
       List.iter
         (fun pin ->
           ignore (as_str ctx (name ^ ".name") (field pin "name"));
@@ -227,7 +82,7 @@ let check_entry entry =
         stats_keys
   | None -> complain "%s: missing \"stats\"" ctx);
   (match (field entry "counterexample", verdict) with
-  | Some Null, "inequivalent" ->
+  | Some Json.Null, "inequivalent" ->
       complain "%s: inequivalent verdict without a counterexample" ctx
   | Some cx, "inequivalent" ->
       ignore (as_str ctx "counterexample.signal" (field cx "signal"));
@@ -235,12 +90,12 @@ let check_entry entry =
       ignore (as_str ctx "counterexample.right" (field cx "right"));
       check_pins ctx "counterexample.inputs" (field cx "inputs");
       check_pins ctx "counterexample.regs" (field cx "regs")
-  | Some Null, _ -> ()
+  | Some Json.Null, _ -> ()
   | Some _, _ -> complain "%s: counterexample on a %s verdict" ctx verdict
   | None, _ -> complain "%s: missing \"counterexample\"" ctx);
   let sevs =
     match field entry "diagnostics" with
-    | Some (Arr diags) -> List.map (check_diag ctx) diags
+    | Some (Json.List diags) -> List.map (check_diag ctx) diags
     | Some _ ->
         complain "%s: \"diagnostics\" must be an array" ctx;
         []
@@ -271,23 +126,11 @@ let check_entry entry =
         complain "%s: %s verdict without an error diagnostic" ctx verdict
   | _ -> ()
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match parse (read_file arg) with
-        | Arr entries -> List.iter check_entry entries
-        | _ -> complain "%s: root must be an array" arg
-        | exception Bad msg -> complain "%s: %s" arg msg)
-    Sys.argv;
-  match !errors with
-  | [] -> ()
-  | errs ->
-      List.iter (Printf.eprintf "%s\n") (List.rev errs);
-      exit 1
+  List.iter
+    (fun path ->
+      with_file path (function
+        | Json.List entries -> List.iter check_entry entries
+        | _ -> complain "%s: root must be an array" path))
+    (args ());
+  finish ()

@@ -5,195 +5,17 @@
    a sweep verdict, a job count that matches the report array, and per
    job a name, seed pair, stage map of booleans, and — whenever a fault
    plan was injected — a structured verdict whose label comes from the
-   fault lattice and whose [ok] field agrees with it.  No external JSON
-   library is assumed; the parser below builds the value the same way
-   check_json.ml recognises it. *)
+   fault lattice and whose [ok] field agrees with it. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s (at byte %d)" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let string_ () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
-          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'u' ->
-              advance ();
-              let code = ref 0 in
-              for _ = 1 to 4 do
-                (match peek () with
-                | Some ('0' .. '9' as c) -> code := (!code * 16) + (Char.code c - 48)
-                | Some ('a' .. 'f' as c) -> code := (!code * 16) + (Char.code c - 87)
-                | Some ('A' .. 'F' as c) -> code := (!code * 16) + (Char.code c - 55)
-                | _ -> fail "bad \\u escape");
-                advance ()
-              done;
-              (* the CLI only escapes control characters, all < 0x80 *)
-              Buffer.add_char buf (Char.chr (!code land 0x7f));
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let member () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-          advance ();
-          true
-      | _ -> false
-    in
-    while member () do () done;
-    if !pos = start then fail "expected a number";
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = string_ () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some '"' -> Str (string_ ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> number () |> fun f -> Num f
-    | _ -> fail "expected a JSON value"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage after JSON value";
-  v
+open Check_common
 
 (* --- the campaign schema ---------------------------------------------- *)
-
-let errors = ref []
-let complain fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt
-
-let field obj name =
-  match obj with
-  | Obj members -> List.assoc_opt name members
-  | _ -> None
-
-let require ctx obj name check =
-  match field obj name with
-  | Some v -> check v
-  | None -> complain "%s: missing required field %S" ctx name
-
-let optional ctx obj name check =
-  match field obj name with
-  | Some v -> check v
-  | None -> ignore ctx
-
-let as_bool ctx name = function
-  | Bool b -> Some b
-  | _ ->
-      complain "%s: %S must be a boolean" ctx name;
-      None
-
-let as_int ctx name = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
-  | _ ->
-      complain "%s: %S must be an integer" ctx name;
-      None
-
-let as_string ctx name = function
-  | Str s -> Some s
-  | _ ->
-      complain "%s: %S must be a string" ctx name;
-      None
 
 let verdict_labels = [ "clean"; "survived"; "degraded"; "inconsistent" ]
 
 let check_verdict ctx v =
   (match v with
-  | Obj _ -> ()
+  | Json.Obj _ -> ()
   | _ -> complain "%s: \"verdict\" must be an object" ctx);
   require ctx v "label" (fun l ->
       match as_string ctx "label" l with
@@ -208,11 +30,11 @@ let check_verdict ctx v =
               | None -> ())
       | None -> ());
   require ctx v "details" (function
-    | Arr items ->
+    | Json.List items ->
         List.iteri
           (fun i item ->
             match item with
-            | Str _ -> ()
+            | Json.String _ -> ()
             | _ -> complain "%s: verdict detail %d is not a string" ctx i)
           items
     | _ -> complain "%s: verdict \"details\" must be an array" ctx)
@@ -220,60 +42,41 @@ let check_verdict ctx v =
 let check_job i job =
   let ctx = Printf.sprintf "job_reports[%d]" i in
   (match job with
-  | Obj _ -> ()
+  | Json.Obj _ -> ()
   | _ -> complain "%s: must be an object" ctx);
   require ctx job "name" (fun v -> ignore (as_string ctx "name" v));
   require ctx job "seed" (fun v -> ignore (as_int ctx "seed" v));
   require ctx job "mem_seed" (fun v -> ignore (as_int ctx "mem_seed" v));
   require ctx job "ok" (fun v -> ignore (as_bool ctx "ok" v));
   require ctx job "stages" (function
-    | Obj stages ->
+    | Json.Obj stages ->
         if stages = [] then complain "%s: empty stage map" ctx;
         List.iter
           (fun (name, v) ->
             match v with
-            | Bool _ -> ()
+            | Json.Bool _ -> ()
             | _ -> complain "%s: stage %S is not a boolean" ctx name)
           stages
     | _ -> complain "%s: \"stages\" must be an object" ctx);
-  optional ctx job "faults" (fun v ->
+  optional job "faults" (fun v ->
       ignore (as_string ctx "faults" v);
       (* an injected plan must carry a structured verdict, unless the job
          crashed before the flow could classify it *)
       if field job "verdict" = None && field job "failure" = None then
         complain "%s: fault plan present but no verdict" ctx);
-  optional ctx job "verdict" (check_verdict ctx);
-  optional ctx job "failure" (fun v -> ignore (as_string ctx "failure" v))
-
-(* every CLI JSON report ships inside the versioned envelope
-   {"schema_version": N, "kind": K, "payload": ...}; peel it (and check
-   the tags) before validating the campaign payload *)
-let unwrap_envelope ~kind ctx root =
-  (match field root "schema_version" with
-  | Some (Num f) when Float.is_integer f && f >= 1.0 -> ()
-  | Some _ -> complain "%s: \"schema_version\" must be a positive integer" ctx
-  | None -> complain "%s: missing \"schema_version\"" ctx);
-  (match field root "kind" with
-  | Some (Str k) when k = kind -> ()
-  | Some (Str k) -> complain "%s: kind %S, expected %S" ctx k kind
-  | Some _ -> complain "%s: \"kind\" must be a string" ctx
-  | None -> complain "%s: missing \"kind\"" ctx);
-  match field root "payload" with
-  | Some payload -> payload
-  | None ->
-      complain "%s: missing \"payload\"" ctx;
-      Obj []
+  optional job "verdict" (check_verdict ctx);
+  optional job "failure" (fun v -> ignore (as_string ctx "failure" v))
 
 let check_campaign envelope =
   let root = unwrap_envelope ~kind:"fault" "root" envelope in
   (match root with
-  | Obj _ -> ()
+  | Json.Obj _ -> ()
   | _ -> complain "root: must be an object");
   require "root" root "ok" (fun v -> ignore (as_bool "root" "ok" v));
   let declared = ref None in
   require "root" root "jobs" (fun v -> declared := as_int "root" "jobs" v);
   require "root" root "job_reports" (function
-    | Arr jobs ->
+    | Json.List jobs ->
         (match !declared with
         | Some n when n <> List.length jobs ->
             complain "root: \"jobs\" says %d but job_reports has %d" n
@@ -281,26 +84,10 @@ let check_campaign envelope =
         | _ -> ());
         List.iteri check_job jobs
     | _ -> complain "root: \"job_reports\" must be an array");
-  optional "root" root "cache" (fun v ->
+  optional root "cache" (fun v ->
       require "cache" v "hits" (fun h -> ignore (as_int "cache" "hits" h));
       require "cache" v "misses" (fun m -> ignore (as_int "cache" "misses" m)))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match parse (read_file arg) with
-        | v -> check_campaign v
-        | exception Bad msg -> complain "%s: %s" arg msg)
-    Sys.argv;
-  match !errors with
-  | [] -> ()
-  | errs ->
-      List.iter (Printf.eprintf "%s\n") (List.rev errs);
-      exit 1
+  List.iter (fun path -> with_file path check_campaign) (args ());
+  finish ()

@@ -1,150 +1,8 @@
-(* A minimal strict JSON validator for the CLI contract tests: every file
-   named on the command line must be a single well-formed JSON value.  No
-   external JSON library is assumed in the build image, and the validator
-   only accepts — it never interprets — so RFC 8259 syntax is all it
-   needs. *)
-
-exception Bad of string * int
-
-let validate name s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s: %s" name msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word =
-    String.iter expect word
-  in
-  let string_ () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-              advance ();
-              go ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some _ ->
-          advance ();
-          go ()
-    in
-    go ()
-  in
-  let digits () =
-    let start = !pos in
-    let rec go () =
-      match peek () with
-      | Some '0' .. '9' ->
-          advance ();
-          go ()
-      | _ -> ()
-    in
-    go ();
-    if !pos = start then fail "expected digits"
-  in
-  let number () =
-    if peek () = Some '-' then advance ();
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else
-          let rec members () =
-            skip_ws ();
-            string_ ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ()
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else
-          let rec elements () =
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ()
-    | Some '"' -> string_ ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail "expected a JSON value"
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage after JSON value"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+(* The syntax half of the CLI JSON contract: every file named on the
+   command line must hold exactly one well-formed JSON value under the
+   strict grammar of [Hlcs_json.Json.parse].  Exits 1, naming the byte
+   offset, on the first fault in each bad file. *)
 
 let () =
-  let bad = ref false in
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        try validate arg (read_file arg)
-        with Bad (msg, pos) ->
-          bad := true;
-          Printf.eprintf "%s (at byte %d)\n" msg pos)
-    Sys.argv;
-  if !bad then exit 1
+  List.iter (fun path -> Check_common.with_file path ignore) (Check_common.args ());
+  Check_common.finish ()

@@ -6,189 +6,17 @@
    cumulative bin counts are consistent, per-family budget accounting that
    adds back up to the jobs run, verdict labels drawn from the fault
    lattice, monitor verdict rows, and a coverage object whose per-point
-   bin tables agree with the reported distinct-bin total.  No external
-   JSON library is assumed; the parser below builds the value the same
-   way check_json.ml recognises it. *)
+   bin tables agree with the reported distinct-bin total. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s (at byte %d)" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let string_ () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char buf '/'; go ()
-          | Some 'b' -> advance (); Buffer.add_char buf '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char buf '\012'; go ()
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'u' ->
-              advance ();
-              let code = ref 0 in
-              for _ = 1 to 4 do
-                (match peek () with
-                | Some ('0' .. '9' as c) -> code := (!code * 16) + (Char.code c - 48)
-                | Some ('a' .. 'f' as c) -> code := (!code * 16) + (Char.code c - 87)
-                | Some ('A' .. 'F' as c) -> code := (!code * 16) + (Char.code c - 55)
-                | _ -> fail "bad \\u escape");
-                advance ()
-              done;
-              (* the CLI only escapes control characters, all < 0x80 *)
-              Buffer.add_char buf (Char.chr (!code land 0x7f));
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let member () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-          advance ();
-          true
-      | _ -> false
-    in
-    while member () do () done;
-    if !pos = start then fail "expected a number";
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let literal word v =
-    String.iter expect word;
-    v
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = string_ () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some '"' -> Str (string_ ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> number () |> fun f -> Num f
-    | _ -> fail "expected a JSON value"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage after JSON value";
-  v
+open Check_common
 
 (* --- the swarm-campaign schema ----------------------------------------- *)
 
-let errors = ref []
-let complain fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt
-
-let field obj name =
-  match obj with
-  | Obj members -> List.assoc_opt name members
-  | _ -> None
-
-let require ctx obj name check =
-  match field obj name with
-  | Some v -> check v
-  | None -> complain "%s: missing required field %S" ctx name
-
-let as_bool ctx name = function
-  | Bool b -> Some b
-  | _ ->
-      complain "%s: %S must be a boolean" ctx name;
-      None
-
-let as_int ctx name = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
-  | _ ->
-      complain "%s: %S must be an integer" ctx name;
-      None
-
-let as_num ctx name = function
-  | Num f -> Some f
-  | _ ->
+let as_num ctx name v =
+  match number v with
+  | Some _ as f -> f
+  | None ->
       complain "%s: %S must be a number" ctx name;
-      None
-
-let as_string ctx name = function
-  | Str s -> Some s
-  | _ ->
-      complain "%s: %S must be a string" ctx name;
       None
 
 let as_ratio ctx name v =
@@ -214,7 +42,7 @@ let check_point i pt =
   require ctx pt "point" (fun v -> ignore (as_string ctx "point" v));
   let count key =
     match field pt key with
-    | Some (Arr bins) ->
+    | Some (Json.List bins) ->
         List.fold_left
           (fun acc b ->
             let bctx = Printf.sprintf "%s.%s" ctx key in
@@ -238,36 +66,17 @@ let check_point i pt =
   in
   count "bins" + count "unexpected"
 
-(* every CLI JSON report ships inside the versioned envelope
-   {"schema_version": N, "kind": K, "payload": ...}; peel it (and check
-   the tags) before validating the swarm payload *)
-let unwrap_envelope ~kind ctx root =
-  (match field root "schema_version" with
-  | Some (Num f) when Float.is_integer f && f >= 1.0 -> ()
-  | Some _ -> complain "%s: \"schema_version\" must be a positive integer" ctx
-  | None -> complain "%s: missing \"schema_version\"" ctx);
-  (match field root "kind" with
-  | Some (Str k) when k = kind -> ()
-  | Some (Str k) -> complain "%s: kind %S, expected %S" ctx k kind
-  | Some _ -> complain "%s: \"kind\" must be a string" ctx
-  | None -> complain "%s: missing \"kind\"" ctx);
-  match field root "payload" with
-  | Some payload -> payload
-  | None ->
-      complain "%s: missing \"payload\"" ctx;
-      Obj []
-
 let check_swarm envelope =
   let root = unwrap_envelope ~kind:"swarm" "root" envelope in
   let sw =
     match field root "swarm" with
-    | Some (Obj _ as sw) -> sw
+    | Some (Json.Obj _ as sw) -> sw
     | Some _ ->
         complain "root: \"swarm\" must be an object";
-        Obj []
+        Json.Obj []
     | None ->
         complain "root: missing required field \"swarm\"";
-        Obj []
+        Json.Obj []
   in
   let ctx = "swarm" in
   ignore (int_field ctx sw "seed");
@@ -283,7 +92,7 @@ let check_swarm envelope =
       | None -> ());
   let target =
     match field sw "target_ratio" with
-    | Some Null -> None
+    | Some Json.Null -> None
     | Some v -> as_ratio ctx "target_ratio" v
     | None ->
         complain "%s: missing required field \"target_ratio\"" ctx;
@@ -302,7 +111,7 @@ let check_swarm envelope =
   | _ -> ());
   (* round ledger: 1-based consecutive rounds, cumulative bins consistent *)
   require ctx sw "rounds" (function
-    | Arr rounds ->
+    | Json.List rounds ->
         let prev_bins = ref 0 and total_jobs = ref 0 in
         List.iteri
           (fun i rd ->
@@ -334,15 +143,15 @@ let check_swarm envelope =
     | _ -> complain "%s: \"rounds\" must be an array" ctx);
   (* per-family budget spend adds back up to the jobs run *)
   require ctx sw "families" (function
-    | Arr [] -> complain "%s: empty family table" ctx
-    | Arr fams ->
+    | Json.List [] -> complain "%s: empty family table" ctx
+    | Json.List fams ->
         let spent = ref 0 and credited = ref 0 in
         List.iteri
           (fun i fam ->
             let fctx = Printf.sprintf "families[%d]" i in
             require fctx fam "family" (fun v -> ignore (as_string fctx "family" v));
             require fctx fam "tags" (function
-              | Arr tags ->
+              | Json.List tags ->
                   List.iter (fun t -> ignore (as_string fctx "tag" t)) tags
               | _ -> complain "%s: \"tags\" must be an array" fctx);
             (match int_field fctx fam "jobs" with
@@ -367,7 +176,7 @@ let check_swarm envelope =
     | _ -> complain "%s: \"families\" must be an array" ctx);
   (* verdict rows come from the fault lattice *)
   require ctx sw "verdicts" (function
-    | Arr verdicts ->
+    | Json.List verdicts ->
         let jobs_with = ref 0 in
         List.iteri
           (fun i v ->
@@ -390,7 +199,7 @@ let check_swarm envelope =
     | _ -> complain "%s: \"verdicts\" must be an array" ctx);
   (* monitor verdicts *)
   require ctx sw "monitors" (function
-    | Arr monitors ->
+    | Json.List monitors ->
         List.iteri
           (fun i m ->
             let mctx = Printf.sprintf "monitors[%d]" i in
@@ -403,7 +212,7 @@ let check_swarm envelope =
     | _ -> complain "%s: \"monitors\" must be an array" ctx);
   (* failures, and the verdict's agreement with them *)
   require ctx sw "failures" (function
-    | Arr failures ->
+    | Json.List failures ->
         List.iteri
           (fun i f ->
             let fctx = Printf.sprintf "failures[%d]" i in
@@ -422,10 +231,10 @@ let check_swarm envelope =
   require ctx sw "coverage" (fun cov ->
       require "coverage" cov "ratio" (fun v -> ignore (as_ratio "coverage" "ratio" v));
       require "coverage" cov "points" (function
-        | Arr points ->
+        | Json.List points ->
             let names =
               List.filter_map (fun pt -> field pt "point") points
-              |> List.filter_map (function Str s -> Some s | _ -> None)
+              |> List.filter_map (function Json.String s -> Some s | _ -> None)
             in
             if List.length (List.sort_uniq compare names) <> List.length names
             then complain "coverage: duplicate point names";
@@ -440,22 +249,6 @@ let check_swarm envelope =
             | _ -> ())
         | _ -> complain "coverage: \"points\" must be an array"))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let () =
-  Array.iteri
-    (fun i arg ->
-      if i > 0 then
-        match parse (read_file arg) with
-        | v -> check_swarm v
-        | exception Bad msg -> complain "%s: %s" arg msg)
-    Sys.argv;
-  match !errors with
-  | [] -> ()
-  | errs ->
-      List.iter (Printf.eprintf "%s\n") (List.rev errs);
-      exit 1
+  List.iter (fun path -> with_file path check_swarm) (args ());
+  finish ()

@@ -53,7 +53,6 @@ let gen_small_opt = Gen.(oneof [ return None; map Option.some (int_range 1 8) ])
 
 let gen_target =
   Gen.(
-    let* base_address = map (fun w -> w * 4) (int_range 0 64) in
     let* devsel_latency = int_range 1 4 in
     let* wait_states = int_range 0 3 in
     let* retry_every = gen_small_opt in
@@ -61,8 +60,7 @@ let gen_target =
     let* ignore_every = gen_small_opt in
     return
       {
-        Hlcs_pci.Pci_target.base_address;
-        devsel_latency;
+        Hlcs_pci.Pci_target.devsel_latency;
         wait_states;
         retry_every;
         disconnect_after;
@@ -241,24 +239,51 @@ let with_legacy_engine engine = function
            fields)
   | j -> j
 
+(* documents written while the target window had a configurable start
+   carry a [base_address] member first in [target]; 0, the only value any
+   run used, must decode as if absent, and any other value is rejected *)
+let with_legacy_base base = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "target", Json.Obj t ->
+                 ("target", Json.Obj (("base_address", Json.Int base) :: t))
+             | kv -> kv)
+           fields)
+  | j -> j
+
 let config_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:200
        ~name:"run_config: to_json ∘ of_json ∘ to_json = to_json"
-       ~print:(fun (c, e) -> Option.value ~default:"-" e ^ " " ^ RC.to_json c)
+       ~print:(fun (c, (e, b)) ->
+         Printf.sprintf "%s %s %s" (Option.value ~default:"-" e)
+           (Option.fold ~none:"-" ~some:string_of_int b)
+           (RC.to_json c))
        Gen.(
          pair gen_run_config
-           (oneofl [ None; Some "settle"; Some "levelized"; Some "compiled" ]))
-       (fun (c, legacy_engine) ->
+           (pair
+              (oneofl [ None; Some "settle"; Some "levelized"; Some "compiled" ])
+              (oneofl [ None; Some 0; Some 256 ])))
+       (fun (c, (legacy_engine, legacy_base)) ->
          let s = RC.to_json c in
          let doc =
            match legacy_engine with
            | None -> RC.to_json_value c
            | Some e -> with_legacy_engine e (RC.to_json_value c)
          in
-         match RC.of_json doc with
-         | Error e -> QCheck2.Test.fail_reportf "decode failed: %s@.%s" e s
-         | Ok c' ->
+         let doc =
+           match legacy_base with None -> doc | Some b -> with_legacy_base b doc
+         in
+         match (RC.of_json doc, legacy_base) with
+         | Ok _, Some b when b <> 0 ->
+             QCheck2.Test.fail_reportf "base_address %d decoded@.%s" b s
+         | Error e, Some b when b <> 0 ->
+             if contains e "base_address" then true
+             else QCheck2.Test.fail_reportf "error does not name the member: %s" e
+         | Error e, _ -> QCheck2.Test.fail_reportf "decode failed: %s@.%s" e s
+         | Ok c', _ ->
              let s' = RC.to_json c' in
              if s <> s' then QCheck2.Test.fail_reportf "drift:@.%s@.%s" s s'
              else true))

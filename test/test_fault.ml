@@ -54,9 +54,11 @@ let prop_empty_plan_is_baseline =
                  (Pci_stim.random ~seed ~count ~base:0 ~size_bytes:256 ())
              in
              let vcd name = Filename.concat dir name in
-             (* the deprecated wrapper never touches the fault layer *)
+             (* a config that never names a fault plan *)
              let base =
-               System.run_pin ~vcd:(vcd "base.vcd") ~mem_bytes:256 ~script ()
+               System.pin
+                 (Run_config.make ~mem_bytes:256 ~vcd_prefix:(vcd "base") ())
+                 ~script
              in
              let config =
                Run_config.make ~mem_bytes:256
@@ -69,7 +71,8 @@ let prop_empty_plan_is_baseline =
                QCheck2.Test.fail_report "observations drifted under empty plan";
              if System.compare_bus_traces base faulty <> [] then
                QCheck2.Test.fail_report "bus trace drifted under empty plan";
-             read_file (vcd "base.vcd") = read_file (vcd "faulty_behavioural.vcd"))))
+             read_file (vcd "base_behavioural.vcd")
+             = read_file (vcd "faulty_behavioural.vcd"))))
 
 (* --- campaign verdicts are identical at any worker count -------------- *)
 

@@ -79,9 +79,10 @@ let check_hlir_decl_well_typed () =
     (match Hlcs_hlir.Typecheck.check d with Ok () -> [] | Error l -> l)
 
 let consistency ?(mem_bytes = 512) ?policy ?target ?(max_time = T.us 2_000) script =
-  let a = System.run_tlm ?policy ~mem_bytes ~script () in
-  let b = System.run_pin ?policy ?target ~max_time ~mem_bytes ~script () in
-  let c = System.run_rtl ?policy ?target ~max_time:(T.mul max_time 4) ~mem_bytes ~script () in
+  let config = Run_config.make ~mem_bytes ?policy ?target () in
+  let a = System.tlm config ~script in
+  let b = System.pin (Run_config.with_max_time max_time config) ~script in
+  let c = System.rtl (Run_config.with_max_time (T.mul max_time 4) config) ~script in
   let issues =
     List.map (fun s -> "A/B " ^ s) (System.compare_runs a b)
     @ List.map (fun s -> "B/C " ^ s) (System.compare_runs b c)
@@ -160,9 +161,10 @@ let check_sram_element_consistency () =
   let script =
     Pci_stim.write_then_read_all (Pci_stim.random ~seed:17 ~count:10 ~base:0 ~size_bytes:512 ())
   in
-  let a = System.run_tlm ~mem_bytes:512 ~script () in
-  let b = Sram_system.run_pin ~max_time:(T.us 2_000) ~mem_bytes:512 ~script () in
-  let c = Sram_system.run_rtl ~max_time:(T.us 8_000) ~mem_bytes:512 ~script () in
+  let config = Run_config.make ~mem_bytes:512 () in
+  let a = System.tlm config ~script in
+  let b = Sram_system.pin (Run_config.with_max_time (T.us 2_000) config) ~script in
+  let c = Sram_system.rtl (Run_config.with_max_time (T.us 8_000) config) ~script in
   Alcotest.(check (list string)) "tlm vs sram-behavioural" [] (System.compare_runs a b);
   Alcotest.(check (list string)) "sram behavioural vs rtl" [] (System.compare_runs b c)
 
@@ -170,8 +172,13 @@ let check_sram_latency_variants () =
   let script = Pci_stim.directed_smoke ~base:0 in
   List.iter
     (fun latency ->
-      let b = Sram_system.run_pin ~latency ~max_time:(T.us 2_000) ~mem_bytes:512 ~script () in
-      let c = Sram_system.run_rtl ~latency ~max_time:(T.us 8_000) ~mem_bytes:512 ~script () in
+      let config = Run_config.make ~mem_bytes:512 () in
+      let b =
+        Sram_system.pin ~latency (Run_config.with_max_time (T.us 2_000) config) ~script
+      in
+      let c =
+        Sram_system.rtl ~latency (Run_config.with_max_time (T.us 8_000) config) ~script
+      in
       Alcotest.(check (list string))
         (Printf.sprintf "latency %d consistent" latency)
         [] (System.compare_runs b c))
@@ -183,20 +190,18 @@ let check_interface_swap () =
   let script =
     Pci_stim.write_then_read_all (Pci_stim.random ~seed:29 ~count:8 ~base:0 ~size_bytes:512 ())
   in
-  let pci = System.run_pin ~max_time:(T.us 2_000) ~mem_bytes:512 ~script () in
-  let sram = Sram_system.run_pin ~max_time:(T.us 2_000) ~mem_bytes:512 ~script () in
+  let config = Run_config.make ~mem_bytes:512 ~max_time:(T.us 2_000) () in
+  let pci = System.pin config ~script in
+  let sram = Sram_system.pin config ~script in
   Alcotest.(check (list string)) "same observations and memory" []
     (System.compare_runs pci sram)
 
 let check_dma_design () =
   let words = 8 and src = 0 and dst = 0x80 in
   let design = Dma_design.design ~src ~dst ~words () in
-  let b =
-    System.run_pin ~design ~max_time:(T.us 2_000) ~mem_bytes:512 ~script:[] ()
-  in
-  let c =
-    System.run_rtl ~design ~max_time:(T.us 8_000) ~mem_bytes:512 ~script:[] ()
-  in
+  let config = Run_config.make ~mem_bytes:512 () in
+  let b = System.pin ~design (Run_config.with_max_time (T.us 2_000) config) ~script:[] in
+  let c = System.rtl ~design (Run_config.with_max_time (T.us 8_000) config) ~script:[] in
   let block mem base = List.init words (fun i -> Pci_memory.read32 mem (base + (4 * i))) in
   Alcotest.(check (list int)) "behavioural copy correct"
     (block b.System.rr_memory src)
@@ -214,8 +219,9 @@ let check_buffered_dma () =
      chunked bursts *)
   let words = 16 and src = 0 and dst = 0x100 and chunk = 8 in
   let design = Dma_design.buffered_design ~src ~dst ~words ~chunk () in
-  let b = System.run_pin ~design ~max_time:(T.us 2_000) ~mem_bytes:1024 ~script:[] () in
-  let c = System.run_rtl ~design ~max_time:(T.us 8_000) ~mem_bytes:1024 ~script:[] () in
+  let config = Run_config.make ~mem_bytes:1024 () in
+  let b = System.pin ~design (Run_config.with_max_time (T.us 2_000) config) ~script:[] in
+  let c = System.rtl ~design (Run_config.with_max_time (T.us 8_000) config) ~script:[] in
   let block mem base = List.init words (fun i -> Pci_memory.read32 mem (base + (4 * i))) in
   Alcotest.(check (list int)) "behavioural copy" (block b.System.rr_memory src)
     (block b.System.rr_memory dst);
@@ -230,9 +236,10 @@ let check_vcd_artifacts () =
   let dir = Filename.temp_file "hlcs" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  let vcd = Filename.concat dir "fig4.vcd" in
+  let prefix = Filename.concat dir "fig4" in
+  let vcd = prefix ^ "_behavioural.vcd" in
   let script = Pci_stim.directed_smoke ~base:0 in
-  let b = System.run_pin ~vcd ~mem_bytes:256 ~script () in
+  let b = System.pin (Run_config.make ~mem_bytes:256 ~vcd_prefix:prefix ()) ~script in
   Alcotest.(check bool) "run ok" true (b.System.rr_violations = []);
   let size = (Unix.stat vcd).Unix.st_size in
   Alcotest.(check bool) (Printf.sprintf "vcd has content (%d bytes)" size) true (size > 2_000);

@@ -15,6 +15,10 @@ module Serve = Hlcs_serve.Serve
 module Protocol = Hlcs_serve.Protocol
 module Json = Hlcs_json.Json
 module Job = Hlcs.Job
+module Run_config = Hlcs_interface.Run_config
+module Synth_cache = Hlcs_synth.Synth_cache
+module Obs = Hlcs_obs.Obs
+module T = Hlcs_engine.Time
 
 (* a cheap, deterministic job: one TLM profile pass over 2 requests *)
 let tlm_job =
@@ -333,6 +337,40 @@ let jobs_width_invariance =
       in
       Alcotest.(check string) "identical" (stream 1) (stream 2))
 
+(* --- SRAM profile jobs run the job's own config ------------------------ *)
+
+let sram_rtl_job config =
+  { Job.default with Job.j_kind = Job.Profile `Sram_rtl; j_config = config }
+
+let profile_of = function
+  | Ok (Job.Profile_result sn) -> sn
+  | Ok _ -> Alcotest.fail "not a profile outcome"
+  | Error e -> Alcotest.fail e
+
+let sram_job_watchdog =
+  Alcotest.test_case "an SRAM-RTL profile job honours the config's watchdog"
+    `Quick (fun () ->
+      let limit = T.us 2 in
+      let sn =
+        profile_of
+          (Job.run (sram_rtl_job (Run_config.with_max_time limit Run_config.default)))
+      in
+      Alcotest.(check bool)
+        (Format.asprintf "simulated %a, watchdog %a" T.pp sn.Obs.sn_sim_time T.pp limit)
+        true
+        (T.compare sn.Obs.sn_sim_time limit <= 0))
+
+let sram_job_without_cache =
+  Alcotest.test_case "a cache-less SRAM-RTL profile job leaves the shared cache alone"
+    `Quick (fun () ->
+      let counts () =
+        let st = Synth_cache.stats Run_config.shared_cache in
+        (st.Synth_cache.hits, st.Synth_cache.misses)
+      in
+      let before = counts () in
+      ignore (profile_of (Job.run (sram_rtl_job (Run_config.without_cache Run_config.default))));
+      Alcotest.(check (pair int int)) "shared cache hits and misses" before (counts ()))
+
 let tests =
   [
     ( "serve",
@@ -349,5 +387,7 @@ let tests =
         disconnect_cancels_queue;
         framing_error_stops;
         jobs_width_invariance;
+        sram_job_watchdog;
+        sram_job_without_cache;
       ] );
   ]

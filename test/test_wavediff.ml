@@ -18,6 +18,19 @@ let with_temp_vcd f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
 
+(* a run configuration with a fresh VCD prefix; the dumps its runs write
+   are removed afterwards *)
+let with_temp_config f =
+  let prefix = Filename.temp_file "hlcs" "" in
+  let config = Run_config.make ~mem_bytes:256 ~vcd_prefix:prefix () in
+  let dumps = List.filter_map (Run_config.vcd_file config) [ "behavioural"; "rtl" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) (prefix :: dumps))
+    (fun () -> f config)
+
+let dump config suffix = Option.get (Run_config.vcd_file config suffix)
+
 let check_roundtrip () =
   with_temp_vcd (fun path ->
       let k = K.create () in
@@ -77,39 +90,42 @@ let check_glitch_normalisation () =
 let protocol_lines = [ "frame_n"; "irdy_n"; "trdy_n"; "devsel_n"; "stop_n"; "cbe"; "par" ]
 
 let check_same_run_identical () =
-  with_temp_vcd (fun p1 ->
-      with_temp_vcd (fun p2 ->
+  with_temp_config (fun c1 ->
+      with_temp_config (fun c2 ->
           let script = Hlcs_pci.Pci_stim.directed_smoke ~base:0 in
-          let _ = System.run_pin ~vcd:p1 ~mem_bytes:256 ~script () in
-          let _ = System.run_pin ~vcd:p2 ~mem_bytes:256 ~script () in
-          let report = Diff.compare_files p1 p2 in
+          let _ = System.pin c1 ~script in
+          let _ = System.pin c2 ~script in
+          let report =
+            Diff.compare_files (dump c1 "behavioural") (dump c2 "behavioural")
+          in
           Alcotest.(check bool) "deterministic reruns give identical waves" true
             (Diff.consistent report);
           Alcotest.(check (list string)) "no one-sided signals" []
             (report.Diff.rp_only_a @ report.Diff.rp_only_b)))
 
 let check_pre_vs_post_synthesis () =
-  with_temp_vcd (fun p1 ->
-      with_temp_vcd (fun p2 ->
-          let script = Hlcs_pci.Pci_stim.directed_smoke ~base:0 in
-          let _ = System.run_pin ~vcd:p1 ~mem_bytes:256 ~script () in
-          let _ = System.run_rtl ~vcd:p2 ~mem_bytes:256 ~script () in
-          let report = Diff.compare_files p1 p2 in
-          (* every protocol-sampled line agrees between the executable
-             specification and the RT-level model; clk (run length), req
-             (zero-time dips) and ad (turnaround windows) legitimately
-             differ across abstraction levels *)
-          List.iter
-            (fun name ->
-              match
-                List.find_opt (fun v -> v.Diff.sv_name = name) report.Diff.rp_signals
-              with
-              | Some v ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s consistent pre/post synthesis" name)
-                    true v.Diff.sv_equal
-              | None -> Alcotest.failf "signal %s missing from the dumps" name)
-            protocol_lines))
+  with_temp_config (fun config ->
+      let script = Hlcs_pci.Pci_stim.directed_smoke ~base:0 in
+      let _ = System.pin config ~script in
+      let _ = System.rtl config ~script in
+      let report =
+        Diff.compare_files (dump config "behavioural") (dump config "rtl")
+      in
+      (* every protocol-sampled line agrees between the executable
+         specification and the RT-level model; clk (run length), req
+         (zero-time dips) and ad (turnaround windows) legitimately
+         differ across abstraction levels *)
+      List.iter
+        (fun name ->
+          match
+            List.find_opt (fun v -> v.Diff.sv_name = name) report.Diff.rp_signals
+          with
+          | Some v ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s consistent pre/post synthesis" name)
+                true v.Diff.sv_equal
+          | None -> Alcotest.failf "signal %s missing from the dumps" name)
+        protocol_lines)
 
 let tests =
   [
