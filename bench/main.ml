@@ -148,8 +148,17 @@ let fw1_behavioural_wait ~policy ~nprocs ~rounds =
 let sweep_n = 16
 
 let run_sweep ~jobs ~cache () =
-  let scenarios = Sweep.scenarios ~n:sweep_n () in
-  let r = Sweep.run ~jobs ~cache ~scenarios () in
+  (* a cached sweep gets a fresh cache: the process-wide shared one is
+     warm after the first series and would turn every run into all-hits *)
+  let config = Run_config.make ~mem_bytes:512 () in
+  let config =
+    if cache then Run_config.with_cache (Synth_cache.create ()) config
+    else Run_config.without_cache config
+  in
+  let r =
+    Sweep.run ~jobs ~count:12
+      (Sweep.scenarios ~vary:`Environment ~seed:2004 ~n:sweep_n config)
+  in
   if not r.Sweep.sw_ok then failwith "batch sweep failed";
   r
 
@@ -167,7 +176,7 @@ let batch_configs =
    match the acceptance regression in test_swarm.ml. *)
 let run_swarm ~guided ~budget () =
   let r =
-    Sweep.swarm ~mode:`Pin ~count:3 ~mem_bytes:256 ~fault_seed:8
+    Sweep.swarm ~mode:`Pin ~fault_seed:8 ~count:3 (Run_config.make ~mem_bytes:256 ())
       {
         Hlcs_verify.Swarm.default_config with
         Hlcs_verify.Swarm.sw_seed = 2004;
@@ -175,7 +184,6 @@ let run_swarm ~guided ~budget () =
         sw_batch = 4;
         sw_guided = guided;
       }
-      ()
   in
   if not r.Hlcs_verify.Swarm.sr_ok then failwith "swarm campaign failed";
   r

@@ -34,6 +34,7 @@ open Hlcs_interface
 (* --- the Job-backed subcommands ----------------------------------------- *)
 
 module Diag = Hlcs_analysis.Diag
+module Json = Hlcs_json.Json
 module Job = Hlcs.Job
 
 (* flow, profile, sweep, fault and swarm all decode to one Hlcs.Job.t and
@@ -257,10 +258,10 @@ let lint_cmd =
                  (fun (r : Diag.rule_info) ->
                    Printf.sprintf
                      "{\"rule\": %s, \"category\": %s, \"severity\": %s, \"doc\": %s}"
-                     (Diag.json_string r.Diag.ri_id)
-                     (Diag.json_string r.Diag.ri_category)
-                     (Diag.json_string (Diag.severity_to_string r.Diag.ri_severity))
-                     (Diag.json_string r.Diag.ri_doc))
+                     (Json.escape_string r.Diag.ri_id)
+                     (Json.escape_string r.Diag.ri_category)
+                     (Json.escape_string (Diag.severity_to_string r.Diag.ri_severity))
+                     (Json.escape_string r.Diag.ri_doc))
                  Diag.rules)
           ^ "]"));
     exit 0
@@ -396,8 +397,8 @@ let equiv_cmd =
       ^ String.concat ", "
           (List.map
              (fun (n, v) ->
-               Printf.sprintf "{\"name\": %s, \"value\": %s}" (Diag.json_string n)
-                 (Diag.json_string (hex v)))
+               Printf.sprintf "{\"name\": %s, \"value\": %s}" (Json.escape_string n)
+                 (Json.escape_string (hex v)))
              l)
       ^ "]"
     in
@@ -407,9 +408,9 @@ let equiv_cmd =
           Printf.sprintf
             "{\"signal\": %s, \"left\": %s, \"right\": %s, \"inputs\": %s, \
              \"regs\": %s}"
-            (Diag.json_string cx.Cec.cx_signal)
-            (Diag.json_string (Cec.tv_to_string cx.Cec.cx_left))
-            (Diag.json_string (Cec.tv_to_string cx.Cec.cx_right))
+            (Json.escape_string cx.Cec.cx_signal)
+            (Json.escape_string (Cec.tv_to_string cx.Cec.cx_left))
+            (Json.escape_string (Cec.tv_to_string cx.Cec.cx_right))
             (pins cx.Cec.cx_inputs) (pins cx.Cec.cx_regs)
       | _ -> "null"
     in
@@ -422,8 +423,8 @@ let equiv_cmd =
        %d, \"propagations\": %d, \"restarts\": %d}, \"counterexample\": %s, \
        \"diagnostics\": %s, \"counts\": {\"errors\": %d, \"warnings\": %d, \
        \"infos\": %d}}"
-      (Diag.json_string name)
-      (Diag.json_string (verdict_name r.Cec.rp_verdict))
+      (Json.escape_string name)
+      (Json.escape_string (verdict_name r.Cec.rp_verdict))
       r.Cec.rp_aig_nodes
       (List.length r.Cec.rp_checks)
       structural sat_backed st.Sat.st_vars st.Sat.st_clauses st.Sat.st_learned
@@ -1038,7 +1039,6 @@ let latency_cmd =
 
 module Serve = Hlcs_serve.Serve
 module Protocol = Hlcs_serve.Protocol
-module Json = Hlcs_json.Json
 
 let capacity_term =
   Arg.(

@@ -1,3 +1,5 @@
+module Json = Hlcs_json.Json
+
 type severity = Error | Warning | Info
 
 let severity_to_string = function
@@ -166,36 +168,19 @@ let render_text ?header diags =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-let json_opt = function None -> "null" | Some s -> json_string s
+let json_opt = function None -> "null" | Some s -> Json.escape_string s
 
 let json_of_diag d =
   Printf.sprintf
     "{\"rule\": %s, \"category\": %s, \"severity\": %s, \"design\": %s, \"scope\": %s, \
      \"path\": %s, \"message\": %s}"
-    (json_string d.d_rule)
-    (json_string (match category_of_rule d.d_rule with Some c -> c | None -> "general"))
-    (json_string (severity_to_string d.d_severity))
-    (json_string d.d_loc.loc_design)
+    (Json.escape_string d.d_rule)
+    (Json.escape_string (match category_of_rule d.d_rule with Some c -> c | None -> "general"))
+    (Json.escape_string (severity_to_string d.d_severity))
+    (Json.escape_string d.d_loc.loc_design)
     (json_opt d.d_loc.loc_scope)
     (json_opt d.d_loc.loc_path)
-    (json_string d.d_message)
+    (Json.escape_string d.d_message)
 
 let json_of_diags diags =
   "[" ^ String.concat ", " (List.map json_of_diag (sorted diags)) ^ "]"
@@ -212,4 +197,4 @@ let render_json ?name diags =
         counts
   | Some n ->
       Printf.sprintf "{\"design\": %s, \"diagnostics\": %s, \"counts\": %s}"
-        (json_string n) (json_of_diags diags) counts
+        (Json.escape_string n) (json_of_diags diags) counts

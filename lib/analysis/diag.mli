@@ -110,6 +110,3 @@ val render_json : ?name:string -> t list -> string
 val json_of_diags : t list -> string
 (** Just the JSON array of diagnostics (used by multi-design reports). *)
 
-val json_string : string -> string
-(** JSON string literal (escaped, quoted) — shared by the CLI renderers
-    so every report escapes identically. *)

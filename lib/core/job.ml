@@ -1,7 +1,6 @@
 module Run_config = Hlcs_interface.Run_config
 module System = Hlcs_interface.System
 module Sram_system = Hlcs_interface.Sram_system
-module Pci_stim = Hlcs_pci.Pci_stim
 module Obs = Hlcs_obs.Obs
 module Diag = Hlcs_analysis.Diag
 module Swarm = Hlcs_verify.Swarm
@@ -50,10 +49,7 @@ let kind_name = function
   | Fault _ -> "fault"
   | Swarm _ -> "swarm"
 
-let script t =
-  Pci_stim.write_then_read_all
-    (Pci_stim.random ~seed:t.j_seed ~count:t.j_count ~base:0
-       ~size_bytes:t.j_config.Run_config.rc_mem_bytes ())
+let script t = Sweep.script ~seed:t.j_seed ~count:t.j_count t.j_config
 
 type outcome =
   | Flow_result of Flow.report
@@ -78,38 +74,23 @@ let run_profile t which =
   | None -> Error "profiling produced no snapshot"
   | Some sn -> Ok (Profile_result sn)
 
+(* a campaign the config rules out (see sweep.mli) is an [Error] *)
+let campaign f = match f () with o -> Ok o | exception Invalid_argument e -> Error e
+
 let run t =
-  let c = t.j_config in
+  let c = t.j_config and jobs = t.j_jobs and seed = t.j_seed and count = t.j_count in
   match t.j_kind with
   | Flow -> Ok (Flow_result (Flow.execute ~config:c ~script:(script t) ()))
   | Profile which -> run_profile t which
   | Sweep { n; vary } ->
-      let scenarios =
-        Sweep.scenarios ~base_seed:t.j_seed ~count:t.j_count
-          ~mem_bytes:c.Run_config.rc_mem_bytes ?policy:c.Run_config.rc_policy
-          ~target:c.Run_config.rc_target ~vary ~n ()
-      in
-      Ok
-        (Sweep_result
-           (Sweep.run ?jobs:t.j_jobs
-              ~cache:(c.Run_config.rc_cache <> None)
-              ~profile:c.Run_config.rc_profile
-              ?vcd_dir:c.Run_config.rc_vcd_prefix
-              ~max_time:c.Run_config.rc_max_time ~scenarios ()))
+      Ok (Sweep_result (Sweep.run ?jobs ~count (Sweep.scenarios ~vary ~seed ~n c)))
   | Fault { n; fault_seed } ->
-      let scenarios =
-        Sweep.fault_scenarios ~base_seed:t.j_seed ~count:t.j_count
-          ~mem_bytes:c.Run_config.rc_mem_bytes ?policy:c.Run_config.rc_policy
-          ~target:c.Run_config.rc_target ~fault_seed ~n ()
-      in
-      Ok
-        (Sweep_result
-           (Sweep.run ?jobs:t.j_jobs ?vcd_dir:c.Run_config.rc_vcd_prefix
-              ~max_time:c.Run_config.rc_max_time ~scenarios ()))
+      campaign (fun () ->
+          Sweep_result (Sweep.run ?jobs ~count (Sweep.fault_scenarios ~fault_seed ~seed ~n c)))
   | Swarm { budget; batch; epsilon; guided; target_ratio; mode; fault_seed } ->
       let config =
         {
-          Swarm.sw_seed = t.j_seed;
+          Swarm.sw_seed = seed;
           sw_budget = budget;
           sw_batch = batch;
           sw_epsilon = epsilon;
@@ -117,14 +98,10 @@ let run t =
           sw_target_ratio = target_ratio;
         }
       in
-      let t0 = Unix.gettimeofday () in
-      let report =
-        Sweep.swarm ?jobs:t.j_jobs ~mode ~base_seed:t.j_seed ~count:t.j_count
-          ~mem_bytes:c.Run_config.rc_mem_bytes ?policy:c.Run_config.rc_policy
-          ~target:c.Run_config.rc_target ~fault_seed
-          ~max_time:c.Run_config.rc_max_time config ()
-      in
-      Ok (Swarm_result (report, Unix.gettimeofday () -. t0))
+      campaign (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let report = Sweep.swarm ?jobs ~mode ~fault_seed ~count c config in
+          Swarm_result (report, Unix.gettimeofday () -. t0))
 
 let failure = function
   | Flow_result r -> if r.Flow.fl_ok then None else Some "flow failed"
@@ -158,9 +135,9 @@ let flow_payload ~deterministic (report : Flow.report) =
   let stage (s : Flow.stage) =
     Printf.sprintf
       "{\"name\": %s, \"ok\": %b, \"detail\": %s, \"wall_seconds\": %s}"
-      (Diag.json_string s.Flow.sg_name)
+      (Json.escape_string s.Flow.sg_name)
       s.Flow.sg_ok
-      (Diag.json_string s.Flow.sg_detail)
+      (Json.escape_string s.Flow.sg_detail)
       (if deterministic then "0" else Printf.sprintf "%.6f" s.Flow.sg_wall_seconds)
   in
   let c = Diag.count report.Flow.fl_diags in
@@ -192,7 +169,7 @@ let trim_trailing s =
 let envelope ~kind payload =
   Printf.sprintf "{\"schema_version\": %d, \"kind\": %s, \"payload\": %s}"
     schema_version
-    (Diag.json_string kind)
+    (Json.escape_string kind)
     (trim_trailing payload)
 
 let render_json t outcome =

@@ -48,9 +48,8 @@ val kind_name : kind -> string
 (** The envelope tag: ["flow" | "profile" | "sweep" | "fault" | "swarm"]. *)
 
 val script : t -> Hlcs_pci.Pci_types.request list
-(** The request script the job simulates: a seeded random write burst
-    followed by read-back of every touched address — identical to the
-    CLI's stimulus construction for the same seed/count/mem-bytes. *)
+(** The request script the job simulates: {!Sweep.script} of the job's
+    seed, count and config. *)
 
 type outcome =
   | Flow_result of Flow.report
@@ -59,10 +58,13 @@ type outcome =
   | Swarm_result of Hlcs_verify.Swarm.report * float  (** report, wall s *)
 
 val run : t -> (outcome, string) result
-(** Execute the job in-process.  [Error] is reserved for jobs that could
-    not produce a report at all (e.g. a profiling run with no snapshot);
-    a flow or campaign that ran but {e failed} returns [Ok] with the
-    failure recorded in the outcome — see {!failure}. *)
+(** Execute the job in-process; every kind runs [j_config] whole (the
+    campaign rules are in {!Sweep}).  [Error] is reserved for jobs that
+    could not produce a report at all (a profiling run with no snapshot,
+    a fault or swarm job whose config sets [rc_faults], a swarm whose
+    budget, batch or epsilon {!Hlcs_verify.Swarm.run} rejects); a flow or
+    campaign that ran but {e failed} returns [Ok] with the failure
+    recorded in the outcome — see {!failure}. *)
 
 val failure : outcome -> string option
 (** The CLI exit-status rule, shared with the daemon: [Some reason] when

@@ -1,5 +1,5 @@
-(* Batch sweeps: one Flow.execute per scenario, farmed over a domain pool,
-   with one shared synthesis cache.
+(* Batch campaigns: one Flow.execute (or System.pin) per job, farmed over
+   a domain pool, every job configured by its scenario's Run_config.t.
 
    Job isolation discipline: everything a job touches is created inside
    the job (kernels, clocks, memories, VCD writers on per-job paths); the
@@ -13,64 +13,63 @@
 
 module Pool = Hlcs_runtime.Pool
 module Synth_cache = Hlcs_synth.Synth_cache
-module Policy = Hlcs_osss.Policy
 module Pci_stim = Hlcs_pci.Pci_stim
-module Pci_target = Hlcs_pci.Pci_target
 module Fault = Hlcs_fault.Fault
 module Obs = Hlcs_obs.Obs
 module System = Hlcs_interface.System
 module Run_config = Hlcs_interface.Run_config
+module Json = Hlcs_json.Json
 
-type scenario = {
-  sc_name : string;
-  sc_seed : int;
-  sc_mem_seed : int;
-  sc_count : int;
-  sc_mem_bytes : int;
-  sc_policy : Policy.t;
-  sc_target : Pci_target.config;
-  sc_faults : Fault.plan;
-}
+type scenario = { sc_name : string; sc_seed : int; sc_config : Run_config.t }
+
+let script ~seed ~count (config : Run_config.t) =
+  Pci_stim.write_then_read_all
+    (Pci_stim.random ~seed ~count ~base:0 ~size_bytes:config.Run_config.rc_mem_bytes ())
+
+(* A campaign's [rc_vcd_prefix] names a directory: job [name] dumps its
+   waveforms under [<dir>/<name>]. *)
+let job_config name (config : Run_config.t) =
+  match config.Run_config.rc_vcd_prefix with
+  | None -> config
+  | Some dir -> Run_config.with_vcd_prefix (Filename.concat dir name) config
+
+let ensure_vcd_dir (config : Run_config.t) =
+  match config.Run_config.rc_vcd_prefix with
+  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+  | Some _ | None -> ()
+
+(* fault campaigns and swarms draw their own plan per job *)
+let no_faults ~campaign (config : Run_config.t) =
+  if not (Fault.is_empty config.Run_config.rc_faults) then
+    invalid_arg
+      (campaign ^ ": the config sets rc_faults, but the campaign draws its own fault plans")
 
 (* The two sweep axes differ in what they cost downstream.  The request
    script is compiled *into* the unit under design (the application
-   process replays it), so varying [sc_seed] varies the design and every
-   job pays one synthesis (deduplicated against the flow's second
-   synthesis by the cache).  The memory-fill seed is pure environment —
-   the design is untouched — so an [`Environment] sweep over n jobs hits
-   one cache entry n*2 - 1 times. *)
-let scenarios ?(base_seed = 2004) ?(count = 12) ?(mem_bytes = 512)
-    ?(policy = Policy.Fcfs) ?(target = Pci_target.default_config)
-    ?(vary = `Environment) ~n () =
+   process replays it), so varying the stimulus seed varies the design
+   and every job pays one synthesis (deduplicated against the flow's
+   second synthesis by the cache).  The memory-fill seed is pure
+   environment — the design is untouched — so an [`Environment] sweep
+   over n jobs hits one cache entry n*2 - 1 times. *)
+let scenarios ~vary ~seed ~n (config : Run_config.t) =
   List.init n (fun i ->
-      {
-        sc_name = Printf.sprintf "job%02d" i;
-        sc_seed = (match vary with `Stimuli -> base_seed + i | `Environment -> base_seed);
-        sc_mem_seed = (match vary with `Stimuli -> 42 | `Environment -> 42 + i);
-        sc_count = count;
-        sc_mem_bytes = mem_bytes;
-        sc_policy = policy;
-        sc_target = target;
-        sc_faults = Fault.empty;
-      })
+      let sc_name = Printf.sprintf "job%02d" i in
+      match vary with
+      | `Stimuli -> { sc_name; sc_seed = seed + i; sc_config = config }
+      | `Environment ->
+          {
+            sc_name;
+            sc_seed = seed;
+            sc_config = Run_config.with_mem_seed (config.Run_config.rc_mem_seed + i) config;
+          })
 
 (* The fault axis: one design, one environment, [n] seeded fault plans
    from [Fault.scenarios] (slot 0 is always the fault-free control). *)
-let fault_scenarios ?(base_seed = 2004) ?(count = 12) ?(mem_bytes = 512)
-    ?(policy = Policy.Fcfs) ?(target = Pci_target.default_config)
-    ?(fault_seed = 7) ~n () =
+let fault_scenarios ~fault_seed ~seed ~n config =
+  no_faults ~campaign:"Sweep.fault_scenarios" config;
   List.map
     (fun (name, plan) ->
-      {
-        sc_name = name;
-        sc_seed = base_seed;
-        sc_mem_seed = 42;
-        sc_count = count;
-        sc_mem_bytes = mem_bytes;
-        sc_policy = policy;
-        sc_target = target;
-        sc_faults = plan;
-      })
+      { sc_name = name; sc_seed = seed; sc_config = Run_config.with_faults plan config })
     (Fault.scenarios ~seed:fault_seed ~n)
 
 type job_report = {
@@ -95,11 +94,6 @@ type report = {
 let failed_jobs r =
   List.filter (fun jb -> (not jb.jb_ok) || jb.jb_failure <> None) r.sw_jobs
 
-let script_of sc =
-  Pci_stim.write_then_read_all
-    (Pci_stim.random ~seed:sc.sc_seed ~count:sc.sc_count ~base:0
-       ~size_bytes:sc.sc_mem_bytes ())
-
 let job_snapshots (fr : Flow.report) =
   match fr.Flow.fl_artefacts with
   | None -> []
@@ -108,30 +102,31 @@ let job_snapshots (fr : Flow.report) =
         (fun (rr : System.run_report) -> rr.System.rr_profile)
         [ a.Flow.fl_tlm; a.Flow.fl_behavioural; a.Flow.fl_rtl ]
 
-let run ?jobs ?chunk ?(cache = true) ?cache_handle ?(profile = false) ?vcd_dir
-    ?max_time ~scenarios () =
-  let cache_handle =
-    if not cache then None
-    else
-      match cache_handle with
-      | Some _ as h -> h
-      | None -> Some (Synth_cache.create ())
-  in
-  (match vcd_dir with
-  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-  | Some _ | None -> ());
+let combine f (a : Synth_cache.stats) (b : Synth_cache.stats) =
+  {
+    Synth_cache.hits = f a.hits b.hits;
+    misses = f a.misses b.misses;
+    disk_hits = f a.disk_hits b.disk_hits;
+    units_total = f a.units_total b.units_total;
+    units_reused = f a.units_reused b.units_reused;
+    units_rebuilt = f a.units_rebuilt b.units_rebuilt;
+  }
+
+(* [f ()] and the counters it added to [caches], summed; [None] when
+   there is no cache to count *)
+let counting_lookups caches f =
+  let before = List.map Synth_cache.stats caches in
+  let result = f () in
+  match List.map2 (combine ( - )) (List.map Synth_cache.stats caches) before with
+  | [] -> (result, None)
+  | d :: ds -> (result, Some (List.fold_left (combine ( + )) d ds))
+
+let run ?jobs ~count scenarios =
+  List.iter (fun sc -> ensure_vcd_dir sc.sc_config) scenarios;
   let run_one sc =
-    let vcd_prefix = Option.map (fun d -> Filename.concat d sc.sc_name) vcd_dir in
     let t0 = Unix.gettimeofday () in
-    let config =
-      Run_config.make ~mem_bytes:sc.sc_mem_bytes ~mem_seed:sc.sc_mem_seed
-        ~target:sc.sc_target ~policy:sc.sc_policy ?vcd_prefix ?max_time
-        ?cache:cache_handle ~profile ~faults:sc.sc_faults ()
-    in
-    (* [cache = false] must mean cold synthesis per run, not a fall-through
-       to the process-wide {!Run_config.shared_cache} default. *)
-    let config = if cache then config else Run_config.without_cache config in
-    let fr = Flow.execute ~config ~script:(script_of sc) () in
+    let config = job_config sc.sc_name sc.sc_config in
+    let fr = Flow.execute ~config ~script:(script ~seed:sc.sc_seed ~count config) () in
     let wall = Unix.gettimeofday () -. t0 in
     {
       jb_scenario = sc;
@@ -150,8 +145,18 @@ let run ?jobs ?chunk ?(cache = true) ?cache_handle ?(profile = false) ?vcd_dir
     in
     max 1 (min requested (Array.length items))
   in
+  let caches =
+    List.fold_left
+      (fun acc sc ->
+        match sc.sc_config.Run_config.rc_cache with
+        | Some c when not (List.memq c acc) -> c :: acc
+        | Some _ | None -> acc)
+      [] scenarios
+  in
   let t0 = Unix.gettimeofday () in
-  let outcomes = Pool.map ?jobs ?chunk run_one items in
+  let outcomes, cache_stats =
+    counting_lookups caches (fun () -> Pool.map ?jobs run_one items)
+  in
   let sweep_wall = Unix.gettimeofday () -. t0 in
   let job_reports =
     Array.to_list
@@ -170,7 +175,6 @@ let run ?jobs ?chunk ?(cache = true) ?cache_handle ?(profile = false) ?vcd_dir
                })
          outcomes)
   in
-  let cache_stats = Option.map Synth_cache.stats cache_handle in
   let merged =
     Obs.merge_all ~label:"sweep"
       (List.filter_map (fun jb -> jb.jb_profile) job_reports)
@@ -257,11 +261,18 @@ let swarm_coverage ~monitors ~with_verdict txs verdict mon_reports =
         mon_reports);
   cov
 
-let swarm ?jobs ?(mode = `Flow) ?(base_seed = 2004) ?(count = 12)
-    ?(mem_bytes = 512) ?(policy = Policy.Fcfs) ?(target = Pci_target.default_config)
-    ?(fault_seed = 1) ?(monitors = System.pci_monitor_specs) ?(cache = true)
-    ?max_time (config : Swarm.config) () =
-  let cache_handle = if cache then Some (Synth_cache.create ()) else None in
+let swarm ?jobs ~mode ~fault_seed ~count (config : Run_config.t)
+    (swarm_config : Swarm.config) =
+  no_faults ~campaign:"Sweep.swarm" config;
+  ensure_vcd_dir config;
+  let stock = List.map (fun (m : Monitor.spec) -> m.Monitor.sp_name) System.pci_monitor_specs in
+  let monitors =
+    System.pci_monitor_specs
+    @ List.filter
+        (fun (m : Monitor.spec) -> not (List.mem m.Monitor.sp_name stock))
+        config.Run_config.rc_monitors
+  in
+  let config = Run_config.with_monitors monitors config in
   let label_of (job : Swarm.job) =
     Printf.sprintf "%02d-%s#%d" job.Swarm.jb_seq
       (List.nth Fault.families job.Swarm.jb_family)
@@ -275,16 +286,11 @@ let swarm ?jobs ?(mode = `Flow) ?(base_seed = 2004) ?(count = 12)
     (* the stimulus seed walks with the draw index, so spending more budget
        on one family keeps producing new scripts (and so new crossed bins)
        instead of replaying one trace *)
-    let sc_seed = base_seed + (7 * job.Swarm.jb_index) + job.Swarm.jb_family in
-    let script =
-      Pci_stim.write_then_read_all
-        (Pci_stim.random ~seed:sc_seed ~count ~base:0 ~size_bytes:mem_bytes ())
+    let seed =
+      swarm_config.Swarm.sw_seed + (7 * job.Swarm.jb_index) + job.Swarm.jb_family
     in
-    let rc =
-      Run_config.make ~mem_bytes ~policy ~target ?max_time ?cache:cache_handle
-        ~faults:plan ~monitors ()
-    in
-    let rc = if cache then rc else Run_config.without_cache rc in
+    let rc = job_config (label_of job) (Run_config.with_faults plan config) in
+    let script = script ~seed ~count rc in
     match mode with
     | `Pin ->
         let rr = System.pin rc ~script in
@@ -340,7 +346,7 @@ let swarm ?jobs ?(mode = `Flow) ?(base_seed = 2004) ?(count = 12)
                Swarm.oc_failure = Some f.Pool.f_exn;
              })
   in
-  Swarm.run config ~families:(swarm_families ()) ~run_batch
+  Swarm.run swarm_config ~families:(swarm_families ()) ~run_batch
 
 (* --- rendering -------------------------------------------------------- *)
 
@@ -349,7 +355,7 @@ let verdict_suffix jb =
   | None -> ""
   | Some v -> Printf.sprintf "  verdict: %s" (Format.asprintf "%a" Fault.pp_verdict v)
 
-let render_text ?(wall = true) r =
+let render_text ~wall r =
   let buf = Buffer.create 1024 in
   (* the domain count is host-execution information, like the wall
      clocks: [wall:false] omits it so the rendering is identical at any
@@ -368,10 +374,10 @@ let render_text ?(wall = true) r =
         (Printf.sprintf "  %-16s %s  seed %d/mem %d%s%s%s%s%s\n"
            jb.jb_scenario.sc_name
            (if jb.jb_ok then "ok  " else "FAIL")
-           jb.jb_scenario.sc_seed jb.jb_scenario.sc_mem_seed
+           jb.jb_scenario.sc_seed jb.jb_scenario.sc_config.Run_config.rc_mem_seed
            (if wall then Printf.sprintf "  (%.3fs)" jb.jb_wall_seconds else "")
-           (if Fault.is_empty jb.jb_scenario.sc_faults then ""
-            else "  faults: " ^ Fault.summary jb.jb_scenario.sc_faults)
+           (if Fault.is_empty jb.jb_scenario.sc_config.Run_config.rc_faults then ""
+            else "  faults: " ^ Fault.summary jb.jb_scenario.sc_config.Run_config.rc_faults)
            (verdict_suffix jb)
            (match bad with
            | [] -> ""
@@ -396,50 +402,31 @@ let render_text ?(wall = true) r =
   | Some sn -> Buffer.add_string buf (Obs.render_text ~wall sn));
   Buffer.contents buf
 
-(* same escaping rules as Diag's JSON renderer *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
 let verdict_json v =
   Printf.sprintf "{\"label\": %s, \"ok\": %b, \"details\": [%s]}"
-    (json_string (Fault.verdict_label v))
+    (Json.escape_string (Fault.verdict_label v))
     (Fault.verdict_ok v)
-    (String.concat ", " (List.map json_string (Fault.verdict_details v)))
+    (String.concat ", " (List.map Json.escape_string (Fault.verdict_details v)))
 
-let render_json ?(wall = true) r =
+let render_json ~wall r =
   let job jb =
     let fields =
       [
-        Printf.sprintf "\"name\": %s" (json_string jb.jb_scenario.sc_name);
+        Printf.sprintf "\"name\": %s" (Json.escape_string jb.jb_scenario.sc_name);
         Printf.sprintf "\"seed\": %d" jb.jb_scenario.sc_seed;
-        Printf.sprintf "\"mem_seed\": %d" jb.jb_scenario.sc_mem_seed;
+        Printf.sprintf "\"mem_seed\": %d" jb.jb_scenario.sc_config.Run_config.rc_mem_seed;
         Printf.sprintf "\"ok\": %b" jb.jb_ok;
         Printf.sprintf "\"stages\": {%s}"
           (String.concat ", "
              (List.map
-                (fun (name, ok) -> Printf.sprintf "%s: %b" (json_string name) ok)
+                (fun (name, ok) -> Printf.sprintf "%s: %b" (Json.escape_string name) ok)
                 jb.jb_stages));
       ]
-      @ (if Fault.is_empty jb.jb_scenario.sc_faults then []
+      @ (if Fault.is_empty jb.jb_scenario.sc_config.Run_config.rc_faults then []
          else
            [
              Printf.sprintf "\"faults\": %s"
-               (json_string (Fault.summary jb.jb_scenario.sc_faults));
+               (Json.escape_string (Fault.summary jb.jb_scenario.sc_config.Run_config.rc_faults));
            ])
       @ (match jb.jb_verdict with
         | None -> []
@@ -450,7 +437,7 @@ let render_json ?(wall = true) r =
       @
       match jb.jb_failure with
       | None -> []
-      | Some e -> [ Printf.sprintf "\"failure\": %s" (json_string e) ]
+      | Some e -> [ Printf.sprintf "\"failure\": %s" (Json.escape_string e) ]
     in
     "{" ^ String.concat ", " fields ^ "}"
   in

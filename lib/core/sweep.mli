@@ -1,71 +1,91 @@
-(** Multicore batch-simulation sweeps over the design flow.
+(** Multicore batch campaigns over the design flow: scenario sweeps,
+    fault campaigns and coverage-guided swarms.
 
     A sweep runs many independent validation jobs — the paper's complete
     refinement flow ({!Flow.execute}: static analysis, TLM, pin-accurate,
     synthesis, RT-level re-validation) per scenario — across a
-    {!Hlcs_runtime.Pool} of domains, sharing one content-hashed
-    {!Hlcs_synth.Synth_cache} so a 100-job sweep over one design
-    synthesises once.
+    {!Hlcs_runtime.Pool} of domains.  A fault campaign is a sweep over
+    seeded {!Hlcs_fault.Fault.plan}s ({!fault_scenarios}), each job
+    classified by the flow's fault verdict against the paper's
+    equivalence invariant.  A swarm ({!swarm}) spends a job budget across
+    the fault families, guided by the coverage each family closes.
 
-    Besides the environment and stimuli axes, a sweep can fan a {e fault}
-    axis ({!fault_scenarios}): seeded {!Hlcs_fault.Fault.plan}s injected
-    into otherwise identical jobs, each classified by the flow's fault
-    verdict against the paper's equivalence invariant.
+    {2 Configuration}
+
+    Every campaign is configured by one {!Hlcs_interface.Run_config.t},
+    the record every single run takes; defaults are
+    {!Hlcs_interface.Run_config.default}'s.
+    Each job runs that config whole (equivalence stage, synthesis
+    options, monitors, watchdog, profiling, cache), with these
+    campaign-specific rules:
+
+    - [rc_vcd_prefix] names a {e directory} (created if missing); each
+      job dumps [<dir>/<job name>_<suffix>.vcd].
+    - A sweep applies [rc_faults] to every scenario.  A fault campaign or
+      a swarm draws its own plan per job, so {!fault_scenarios} and
+      {!swarm} raise [Invalid_argument] on a config whose [rc_faults] is
+      not {!Hlcs_fault.Fault.empty}; {!Job.run} reports that as an
+      [Error] instead of dropping the plan.
+    - A swarm attaches the stock {!Hlcs_interface.System.pci_monitor_specs}
+      plus any [rc_monitors] not already among them.
+    - Synthesis goes through [rc_cache], exactly as for one flow: a
+      shared, private or disk-backed cache, or cold synthesis when there
+      is none.  The report's {!report.sw_cache} counts only the
+      campaign's own lookups (counters after the campaign minus counters
+      before), so a sweep on the warm process-wide cache reports its hits
+      rather than the process's history.  Lookups that concurrent
+      campaigns make on the same cache are counted too.
 
     Determinism: jobs are fully isolated (one kernel set per job, one VCD
     file set per job) and results are returned in submission order, so a
-    sweep at [--jobs 4] produces byte-identical artefacts and verdicts to
-    the same sweep at [--jobs 1]; the regression suite asserts this at
-    the VCD-byte level, fault campaigns included (every injection is a
+    campaign at [--jobs 4] produces byte-identical artefacts and verdicts
+    to the same campaign at [--jobs 1]; the regression suite asserts this
+    at the VCD-byte level, fault campaigns included (every injection is a
     deterministic function of the scenario's plan). *)
 
 type scenario = {
-  sc_name : string;  (** job label; also the VCD file prefix under [vcd_dir] *)
-  sc_seed : int;  (** stimulus seed ({!Hlcs_pci.Pci_stim.random}) *)
-  sc_mem_seed : int;  (** target-memory fill seed (pure environment) *)
-  sc_count : int;  (** random bus requests in the script *)
-  sc_mem_bytes : int;
-  sc_policy : Hlcs_osss.Policy.t;
-  sc_target : Hlcs_pci.Pci_target.config;
-  sc_faults : Hlcs_fault.Fault.plan;  (** {!Hlcs_fault.Fault.empty} = none *)
+  sc_name : string;  (** job label; also the VCD file stem *)
+  sc_seed : int;  (** stimulus seed ({!script}) *)
+  sc_config : Hlcs_interface.Run_config.t;  (** the job's whole run configuration *)
 }
 
-val scenarios :
-  ?base_seed:int ->
-  ?count:int ->
-  ?mem_bytes:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?target:Hlcs_pci.Pci_target.config ->
-  ?vary:[ `Environment | `Stimuli ] ->
-  n:int ->
-  unit ->
-  scenario list
-(** [n] fault-free scenarios over one design configuration (default base
-    seed 2004, count 12, 512 memory bytes, FCFS, default target timing).
+val script :
+  seed:int -> count:int -> Hlcs_interface.Run_config.t -> Hlcs_pci.Pci_types.request list
+(** The request script of one job: [count] seeded random requests over
+    the config's [rc_mem_bytes] window ({!Hlcs_pci.Pci_stim.random}),
+    each write read back ({!Hlcs_pci.Pci_stim.write_then_read_all}).
+    Every job of every campaign, and every single-run {!Job}, simulates
+    this script. *)
 
-    [vary] picks the sweep axis.  [`Environment] (the default) fixes the
-    request script and varies the target-memory fill seed: the unit under
-    design is {e identical} across jobs, so the shared synthesis cache
-    reduces the whole sweep to a single synthesis.  [`Stimuli] varies the
-    request script seed instead — a multi-design regression campaign
-    (the application process replays the script, so each job carries a
-    different design); the cache then deduplicates the flow's two
-    synthesis steps within each job. *)
+val scenarios :
+  vary:[ `Environment | `Stimuli ] ->
+  seed:int ->
+  n:int ->
+  Hlcs_interface.Run_config.t ->
+  scenario list
+(** [n] scenarios named [job00], [job01], ... over one configuration.
+
+    [vary] picks the sweep axis.  [`Environment] fixes the request script
+    at [seed] and gives job [i] the memory fill seed [rc_mem_seed + i]:
+    the unit under design is {e identical} across jobs, so a shared
+    synthesis cache reduces the whole sweep to a single synthesis.
+    [`Stimuli] gives job [i] the script seed [seed + i] instead — a
+    multi-design regression campaign (the application process replays
+    the script, so each job carries a different design); the cache then
+    deduplicates the flow's two synthesis steps within each job. *)
 
 val fault_scenarios :
-  ?base_seed:int ->
-  ?count:int ->
-  ?mem_bytes:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?target:Hlcs_pci.Pci_target.config ->
-  ?fault_seed:int ->
+  fault_seed:int ->
+  seed:int ->
   n:int ->
-  unit ->
+  Hlcs_interface.Run_config.t ->
   scenario list
 (** The fault axis: one design, one environment, the first [n] seeded
     plans of campaign [fault_seed] ({!Hlcs_fault.Fault.scenarios} — slot 0
-    is always the fault-free control run).  Identical design across jobs,
-    so the synthesis cache still collapses the campaign to one synthesis. *)
+    is always the fault-free control run), each set as the scenario's
+    [rc_faults].  Identical design across jobs, so a shared synthesis
+    cache still collapses the campaign to one synthesis.
+    @raise Invalid_argument when the config already carries faults. *)
 
 type job_report = {
   jb_scenario : scenario;
@@ -74,7 +94,7 @@ type job_report = {
   jb_wall_seconds : float;
   jb_profile : Hlcs_obs.Obs.snapshot option;
       (** per-job merged kernel snapshot (TLM + behavioural + RTL runs),
-          [Some] iff the sweep ran with [profile] *)
+          [Some] iff the job's config sets [rc_profile] *)
   jb_failure : string option;  (** exception text if the job crashed *)
   jb_verdict : Hlcs_fault.Fault.verdict option;
       (** the flow's fault verdict, [Some] iff the scenario carried a
@@ -88,7 +108,8 @@ type report = {
   sw_domains : int;  (** domains the pool actually used *)
   sw_wall_seconds : float;  (** whole-sweep wall clock *)
   sw_cache : Hlcs_synth.Synth_cache.stats option;
-      (** [None] when the sweep ran with [cache:false] *)
+      (** this sweep's lookups, summed over the distinct caches its
+          scenarios name; [None] when no scenario has a cache *)
   sw_profile : Hlcs_obs.Obs.snapshot option;
       (** merge of every job snapshot, with the cache counters attached
           as [synth_cache_hits]/[synth_cache_misses] extras *)
@@ -99,39 +120,24 @@ val failed_jobs : report -> job_report list
     exactly when [sw_ok] is false; the CLI exits non-zero on it even when
     the merged snapshot rendered fine. *)
 
-val run :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?cache:bool ->
-  ?cache_handle:Hlcs_synth.Synth_cache.t ->
-  ?profile:bool ->
-  ?vcd_dir:string ->
-  ?max_time:Hlcs_engine.Time.t ->
-  scenarios:scenario list ->
-  unit ->
-  report
-(** Runs one {!Flow.execute} per scenario.  [jobs] defaults to
-    {!Hlcs_runtime.Pool.recommended_jobs}; [cache] (default [true])
-    shares one synthesis cache across all jobs — a private one, unless
-    [cache_handle] supplies an existing cache so consecutive sweeps (or
-    a test) share unit fragments across calls ([cache:false] wins over
-    any handle); [vcd_dir] dumps
-    [<dir>/<sc_name>_{behavioural,rtl}.vcd] per job (the directory is
-    created if missing).  A crashing job is recorded in its
-    [jb_failure] and fails the sweep verdict without aborting the other
-    jobs. *)
+val run : ?jobs:int -> count:int -> scenario list -> report
+(** Runs one {!Flow.execute} per scenario on its {!script} and config.
+    [jobs] is the pool width, default
+    {!Hlcs_runtime.Pool.recommended_jobs}.  A crashing job is recorded
+    in its [jb_failure] and fails the sweep verdict without aborting the
+    other jobs. *)
 
-val render_text : ?wall:bool -> report -> string
+val render_text : wall:bool -> report -> string
 (** Per-job verdict table (fault plans and verdicts included) plus cache
     statistics and, when profiled, the merged snapshot.  [wall:false]
     omits every host-time figure, making the output deterministic for
     fixed scenarios regardless of [jobs] — the CLI's [--deterministic]
     mode and the determinism regression rely on that. *)
 
-val render_json : ?wall:bool -> report -> string
+val render_json : wall:bool -> report -> string
 (** One JSON object: sweep verdict, domain count, per-job records (with
     fault plan summaries and structured verdicts), cache stats, merged
-    snapshot.  Same escaping rules as {!Hlcs_analysis.Diag.render_json}. *)
+    snapshot.  Strings are escaped by {!Hlcs_json.Json.escape_string}. *)
 
 (** {1 Coverage-guided swarm campaigns}
 
@@ -141,8 +147,7 @@ val render_json : ?wall:bool -> report -> string
     coverage each family closes ({!Hlcs_verify.Swarm}).  Per job: one
     seeded plan from the family's scenario slice, one random request
     script, one run of the flow (or of the cheaper pin-accurate
-    configuration alone), with the stock PCI temporal monitors attached
-    ({!Hlcs_interface.System.pci_monitor_specs}) and a
+    configuration alone), with the campaign's monitors attached and a
     {!Hlcs_verify.Coverage} model sampling the crossed transaction plan,
     the fault-verdict lattice and the monitor verdicts. *)
 
@@ -156,25 +161,22 @@ val swarm_families : unit -> Hlcs_verify.Swarm.family list
 
 val swarm :
   ?jobs:int ->
-  ?mode:[ `Flow | `Pin ] ->
-  ?base_seed:int ->
-  ?count:int ->
-  ?mem_bytes:int ->
-  ?policy:Hlcs_osss.Policy.t ->
-  ?target:Hlcs_pci.Pci_target.config ->
-  ?fault_seed:int ->
-  ?monitors:Hlcs_verify.Monitor.spec list ->
-  ?cache:bool ->
-  ?max_time:Hlcs_engine.Time.t ->
+  mode:[ `Flow | `Pin ] ->
+  fault_seed:int ->
+  count:int ->
+  Hlcs_interface.Run_config.t ->
   Hlcs_verify.Swarm.config ->
-  unit ->
   Hlcs_verify.Swarm.report
 (** Run a swarm campaign.  [mode] picks what each job executes: [`Flow]
-    (default) runs the complete refinement flow and covers the verdict
-    lattice; [`Pin] runs only the behavioural pin-accurate configuration —
+    runs the complete refinement flow and covers the verdict lattice;
+    [`Pin] runs only the behavioural pin-accurate configuration —
     roughly an order of magnitude cheaper per job, used by the closure
     benchmarks.  [fault_seed] selects the campaign ({!fault_scenarios}'
-    axis, default 1); [base_seed]/[count]/[mem_bytes] parameterise the
-    random request scripts.  Batches run on the domain pool; outcomes are
-    consumed in submission order and the scheduler is single-threaded, so
-    a campaign is byte-identical at any [jobs] value. *)
+    axis); job [i] of family [f] simulates the [count]-request {!script}
+    of seed [sw_seed + 7i + f], so spending more budget on one family
+    keeps producing new scripts.  Jobs are named
+    [<seq>-<family>#<index>].  Batches run on the domain pool; outcomes
+    are consumed in submission order and the scheduler is
+    single-threaded, so a campaign is byte-identical at any [jobs]
+    value.
+    @raise Invalid_argument when the config already carries faults. *)

@@ -2,10 +2,13 @@
 
     Every configuration runner takes one: the PCI runners ({!System.tlm},
     {!System.pin}, {!System.rtl}), the SRAM runners ({!Sram_system.pin},
-    {!Sram_system.rtl}), the flow driver ([Flow.execute]) and the sweep.
-    Build one with {!default} and the [with_*] setters (or {!make}) and
-    pass it everywhere; there is no second, optional-argument way to
-    configure a run. *)
+    {!Sram_system.rtl}), the flow driver ([Flow.execute]) and the
+    campaigns — scenario sweeps, fault campaigns and swarms
+    ([Sweep.scenarios], [Sweep.fault_scenarios], [Sweep.swarm]), which
+    run every job from the campaign's config under the few rules
+    [sweep.mli] states.  Build one with {!default} and the [with_*]
+    setters (or {!make}) and pass it everywhere; there is no second,
+    optional-argument way to configure a run. *)
 
 type t = {
   rc_mem_bytes : int;  (** target memory size *)

@@ -4,6 +4,7 @@
    phase clock (enabled per run through [profiled]) costs anything, so a
    snapshot can be taken from any finished run. *)
 
+module Json = Hlcs_json.Json
 module Kernel = Hlcs_engine.Kernel
 module Time = Hlcs_engine.Time
 
@@ -147,25 +148,6 @@ let phase_fields (p : Kernel.phase_times) =
 
 (* --- rendering -------------------------------------------------------- *)
 
-(* same escaping rules as Diag's JSON renderer *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
 (* [wall:false] omits every host-time figure (wall clock and phase times),
    leaving only the deterministic counters: the mode CLI diff tests rely
    on *)
@@ -213,7 +195,7 @@ let render_json ?(wall = true) sn =
           Printf.sprintf "\"extras\": {%s}"
             (String.concat ", "
                (List.map
-                  (fun (name, v) -> Printf.sprintf "%s: %d" (json_string name) v)
+                  (fun (name, v) -> Printf.sprintf "%s: %d" (Json.escape_string name) v)
                   extras));
         ])
     @ (match sn.sn_wall_seconds with
@@ -232,5 +214,5 @@ let render_json ?(wall = true) sn =
     | Some _ | None -> []
   in
   Printf.sprintf "{\"label\": %s, \"sim_time_ps\": %d, \"counters\": {%s}%s}"
-    (json_string sn.sn_label) (Time.to_ps sn.sn_sim_time) counters
+    (Json.escape_string sn.sn_label) (Time.to_ps sn.sn_sim_time) counters
     (match optional with [] -> "" | o -> ", " ^ String.concat ", " o)

@@ -67,5 +67,5 @@ val render_text : ?wall:bool -> snapshot -> string
 
 val render_json : ?wall:bool -> snapshot -> string
 (** One JSON object: label, simulated picoseconds, counters, and (unless
-    [wall:false]) wall/phase seconds.  Same escaping rules as
-    {!Hlcs_analysis.Diag.render_json}. *)
+    [wall:false]) wall/phase seconds.  Strings are escaped by
+    {!Hlcs_json.Json.escape_string}. *)

@@ -13,7 +13,8 @@
 
    Plus the sweep-exit regression: a job that crashes must leave a
    failure record that fails the sweep even though the report still
-   renders. *)
+   renders; and the campaign-config regressions: sweep, fault and swarm
+   jobs run the job's whole Run_config.t, under the rules in sweep.mli. *)
 
 module K = Hlcs_engine.Kernel
 module T = Hlcs_engine.Time
@@ -24,6 +25,10 @@ module Interface_object = Hlcs_interface.Interface_object
 module Pci_stim = Hlcs_pci.Pci_stim
 module Flow = Hlcs.Flow
 module Sweep = Hlcs.Sweep
+module Job = Hlcs.Job
+module Swarm = Hlcs_verify.Swarm
+module Coverage = Hlcs_verify.Coverage
+module Monitor = Hlcs_verify.Monitor
 
 let read_file path =
   let ic = open_in_bin path in
@@ -81,11 +86,13 @@ let prop_campaign_jobs_invariant =
     (QCheck2.Test.make ~count:3 ~name:"fault campaign: verdicts independent of --jobs"
        QCheck2.Gen.(int_range 0 1000)
        (fun fault_seed ->
-         let scenarios =
-           Sweep.fault_scenarios ~count:3 ~mem_bytes:256 ~fault_seed ~n:5 ()
-         in
+         (* a fresh cache per campaign: the rendering carries its counters *)
          let render jobs =
-           Sweep.render_text ~wall:false (Sweep.run ~jobs ~scenarios ())
+           let config =
+             Run_config.make ~mem_bytes:256 ~cache:(Hlcs_synth.Synth_cache.create ()) ()
+           in
+           Sweep.render_text ~wall:false
+             (Sweep.run ~jobs ~count:3 (Sweep.fault_scenarios ~fault_seed ~seed:2004 ~n:5 config))
          in
          render 1 = render 4))
 
@@ -169,8 +176,10 @@ let check_abort_recovery_flow () =
 (* --- baseline scenario carries no verdict ----------------------------- *)
 
 let check_campaign_shape () =
-  let scenarios = Sweep.fault_scenarios ~count:3 ~mem_bytes:256 ~fault_seed:1 ~n:3 () in
-  let report = Sweep.run ~jobs:2 ~scenarios () in
+  let scenarios =
+    Sweep.fault_scenarios ~fault_seed:1 ~seed:2004 ~n:3 (Run_config.make ~mem_bytes:256 ())
+  in
+  let report = Sweep.run ~jobs:2 ~count:3 scenarios in
   Alcotest.(check int) "job count" 3 (List.length report.Sweep.sw_jobs);
   match report.Sweep.sw_jobs with
   | baseline :: faulty ->
@@ -178,7 +187,7 @@ let check_campaign_shape () =
         "control run has no verdict" true (baseline.Sweep.jb_verdict = None);
       Alcotest.(check bool)
         "control run has no plan" true
-        (Fault.is_empty baseline.Sweep.jb_scenario.Sweep.sc_faults);
+        (Fault.is_empty baseline.Sweep.jb_scenario.Sweep.sc_config.Run_config.rc_faults);
       List.iter
         (fun jb ->
           Alcotest.(check bool)
@@ -192,11 +201,14 @@ let check_campaign_shape () =
 
 let check_failure_record_fails_sweep () =
   let good, bad =
-    match Sweep.scenarios ~mem_bytes:256 ~count:2 ~n:2 () with
-    | [ g; b ] -> (g, { b with Sweep.sc_mem_bytes = -1 })
+    match
+      Sweep.scenarios ~vary:`Environment ~seed:2004 ~n:2 (Run_config.make ~mem_bytes:256 ())
+    with
+    | [ g; b ] ->
+        (g, { b with Sweep.sc_config = Run_config.with_mem_bytes (-1) b.Sweep.sc_config })
     | _ -> Alcotest.fail "scenario generator changed arity"
   in
-  let report = Sweep.run ~jobs:2 ~scenarios:[ good; bad ] () in
+  let report = Sweep.run ~jobs:2 ~count:2 [ good; bad ] in
   Alcotest.(check bool) "sweep verdict false" false report.Sweep.sw_ok;
   (match Sweep.failed_jobs report with
   | [ jb ] ->
@@ -213,6 +225,139 @@ let check_failure_record_fails_sweep () =
   in
   Alcotest.(check bool) "render mentions the crash" true (contains text "crashed")
 
+(* --- campaign jobs run the job's whole config ------------------------- *)
+
+(* a small campaign job: [kind] over [config], [count]-request scripts *)
+let campaign_job ?(count = 3) kind config =
+  {
+    Job.default with
+    Job.j_kind = kind;
+    j_config = Run_config.with_mem_bytes 256 config;
+    j_count = count;
+    j_jobs = Some 2;
+    j_deterministic = true;
+  }
+
+let sweep_of_job j =
+  match Job.run j with
+  | Ok (Job.Sweep_result r) -> r
+  | Ok _ -> Alcotest.fail "campaign job returned a non-sweep outcome"
+  | Error e -> Alcotest.fail e
+
+let check_sweep_job_runs_equiv () =
+  let r =
+    sweep_of_job
+      (campaign_job
+         (Job.Sweep { n = 2; vary = `Environment })
+         (Run_config.with_equiv true Run_config.default))
+  in
+  Alcotest.(check bool) "sweep passes" true r.Sweep.sw_ok;
+  List.iter
+    (fun jb ->
+      Alcotest.(check bool)
+        (jb.Sweep.jb_scenario.Sweep.sc_name ^ " ran the equivalence check")
+        true
+        (List.exists
+           (fun (name, ok) -> ok && String.starts_with ~prefix:"equivalence check" name)
+           jb.Sweep.jb_stages))
+    r.Sweep.sw_jobs
+
+let check_fault_job_honours_cache_and_profile () =
+  let fault = Job.Fault { n = 2; fault_seed = 1 } in
+  let uncached =
+    sweep_of_job (campaign_job fault (Run_config.without_cache Run_config.default))
+  in
+  Alcotest.(check bool) "cache \"none\": no cache block" true (uncached.Sweep.sw_cache = None);
+  let profiled =
+    sweep_of_job (campaign_job fault (Run_config.with_profile true Run_config.default))
+  in
+  Alcotest.(check bool) "rc_profile: merged snapshot" true (profiled.Sweep.sw_profile <> None)
+
+let check_sweep_job_applies_faults () =
+  let r =
+    sweep_of_job
+      (campaign_job
+         (Job.Sweep { n = 2; vary = `Environment })
+         (Run_config.with_faults abort_recovery_plan Run_config.default))
+  in
+  List.iter
+    (fun jb ->
+      Alcotest.(check bool)
+        (jb.Sweep.jb_scenario.Sweep.sc_name ^ " ran under the plan")
+        true
+        (jb.Sweep.jb_verdict <> None))
+    r.Sweep.sw_jobs
+
+let swarm_kind =
+  Job.Swarm
+    {
+      budget = 4;
+      batch = 4;
+      epsilon = 0.2;
+      guided = true;
+      target_ratio = None;
+      mode = `Flow;
+      fault_seed = 1;
+    }
+
+let check_drawn_plan_campaigns_reject_faults () =
+  let faulty = Run_config.with_faults abort_recovery_plan Run_config.default in
+  List.iter
+    (fun kind ->
+      match Job.run (campaign_job kind faulty) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (Job.kind_name kind ^ " job dropped its rc_faults"))
+    [ Job.Fault { n = 2; fault_seed = 1 }; swarm_kind ]
+
+let check_swarm_job_adds_monitors () =
+  (* trips on every bus request, so it must show up in the ledger *)
+  let extra = Monitor.spec ~name:"never_req" (Monitor.Never "req") in
+  let names specs = List.map (fun (m : Monitor.spec) -> m.Monitor.sp_name) specs in
+  let kind =
+    Job.Swarm
+      {
+        budget = 2;
+        batch = 2;
+        epsilon = 0.2;
+        guided = true;
+        target_ratio = None;
+        mode = `Pin;
+        fault_seed = 1;
+      }
+  in
+  let config = Run_config.with_monitors (extra :: System.pci_monitor_specs) Run_config.default in
+  match Job.run (campaign_job kind config) with
+  | Ok (Job.Swarm_result (r, _)) ->
+      Alcotest.(check bool) "rc_monitors spec attached" true
+        (List.mem_assoc "never_req" r.Swarm.sr_monitors);
+      Alcotest.(check (list string)) "stock specs attached once"
+        (List.sort compare (names (extra :: System.pci_monitor_specs)))
+        (List.sort compare
+           (List.map fst (List.assoc "monitor" (Coverage.report r.Swarm.sr_coverage))))
+  | Ok _ -> Alcotest.fail "swarm job returned a non-swarm outcome"
+  | Error e -> Alcotest.fail e
+
+(* transactions the campaign's jobs sampled into the crossed plan *)
+let sampled_transactions (r : Swarm.report) =
+  match Coverage.report r.Swarm.sr_coverage with
+  | (_, bins) :: _ -> List.fold_left (fun acc (_, n) -> acc + n) 0 bins
+  | [] -> 0
+
+let check_swarm_job_honours_watchdog () =
+  let swarm config =
+    match Job.run (campaign_job ~count:40 swarm_kind config) with
+    | Ok (Job.Swarm_result (r, _)) -> r
+    | Ok _ -> Alcotest.fail "swarm job returned a non-swarm outcome"
+    | Error e -> Alcotest.fail e
+  in
+  let full = swarm Run_config.default in
+  let cut = swarm (Run_config.with_max_time (T.us 2) Run_config.default) in
+  Alcotest.(check bool)
+    (Printf.sprintf "2 us watchdog cuts the runs short (%d < %d transactions)"
+       (sampled_transactions cut) (sampled_transactions full))
+    true
+    (sampled_transactions cut < sampled_transactions full)
+
 let tests =
   [
     ( "fault",
@@ -227,5 +372,17 @@ let tests =
           `Quick check_campaign_shape;
         Alcotest.test_case "crashing job leaves a failure record and fails the sweep"
           `Quick check_failure_record_fails_sweep;
+        Alcotest.test_case "sweep job: rc_equiv adds the equivalence stage" `Quick
+          check_sweep_job_runs_equiv;
+        Alcotest.test_case "fault job: rc_cache none and rc_profile honoured" `Quick
+          check_fault_job_honours_cache_and_profile;
+        Alcotest.test_case "swarm job: rc_max_time watchdog honoured" `Quick
+          check_swarm_job_honours_watchdog;
+        Alcotest.test_case "sweep job: rc_faults applied to every scenario" `Quick
+          check_sweep_job_applies_faults;
+        Alcotest.test_case "fault and swarm jobs reject a config with faults" `Quick
+          check_drawn_plan_campaigns_reject_faults;
+        Alcotest.test_case "swarm job: rc_monitors attached beside the stock ones" `Quick
+          check_swarm_job_adds_monitors;
       ] );
   ]

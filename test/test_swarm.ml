@@ -6,6 +6,7 @@
 module Swarm = Hlcs_verify.Swarm
 module Coverage = Hlcs_verify.Coverage
 module Sweep = Hlcs.Sweep
+module Run_config = Hlcs_interface.Run_config
 
 (* --- synthetic campaigns ------------------------------------------------ *)
 
@@ -129,9 +130,17 @@ let check_guided_exploits () =
     true
     (g.Swarm.sr_bins > b.Swarm.sr_bins)
 
+(* One productive family among dead ones.  With epsilon = 0 the guided
+   scheduler is deterministic: every family is tried once in index order,
+   and every later slot goes to the best novelty score, which is the
+   productive family as soon as its first outcome is merged.  Blind
+   round-robin draws the productive family once per [families] slots, so
+   guided never closes fewer distinct bins on the same budget (checked
+   exhaustively over this generator's whole range: 3-6 families, budgets
+   6-40, batches 1-5).  With epsilon > 0 no such bound holds: an
+   exploring slot can spend the last job of a tight budget elsewhere —
+   see [check_exploration_can_lose]. *)
 let qcheck_guided_never_worse =
-  (* one productive family among dead ones: guided must never close fewer
-     distinct bins than blind round-robin on the same budget and seed *)
   let gen =
     QCheck.Gen.(
       pair
@@ -153,11 +162,31 @@ let qcheck_guided_never_worse =
       in
       let run guided =
         Swarm.run
-          (config ~seed ~budget ~batch ~epsilon:0.1 ~guided ())
+          (config ~seed ~budget ~batch ~epsilon:0.0 ~guided ())
           ~families:(fams n)
           ~run_batch:(scripted_run_batch profile)
       in
       (run true).Swarm.sr_bins >= (run false).Swarm.sr_bins)
+
+let check_exploration_can_lose () =
+  (* the counterexample that refuted "guided >= blind" at epsilon 0.1:
+     six families, family 0 productive, budget 7 in batches of 5.  Blind
+     draws family 0 at jobs 0 and 6; guided tries all six once, and at
+     seed 373 its one remaining job explores a dead family *)
+  let profile fam i = if fam = 0 then [ Printf.sprintf "p%d" i ] else [] in
+  let run ~epsilon guided =
+    Swarm.run
+      (config ~seed:373 ~budget:7 ~batch:5 ~epsilon ~guided ())
+      ~families:(fams 6)
+      ~run_batch:(scripted_run_batch profile)
+  in
+  Alcotest.(check int) "blind closes 2 bins" 2 (run ~epsilon:0.1 false).Swarm.sr_bins;
+  let explored = run ~epsilon:0.1 true in
+  Alcotest.(check int) "exploring guided closes 1 bin" 1 explored.Swarm.sr_bins;
+  Alcotest.(check int) "the productive family ran once" 1
+    (List.hd explored.Swarm.sr_families).Swarm.fs_jobs;
+  Alcotest.(check int) "greedy guided closes 2 bins" 2
+    (run ~epsilon:0.0 true).Swarm.sr_bins
 
 let qcheck_deterministic =
   (* the scheduler is a pure function of its config: re-running the same
@@ -179,10 +208,9 @@ let check_guided_beats_blind_at_64 () =
      PCI fault families, short scripts so the hostile cross bins are rare
      — guided closes strictly more bins than the blind baseline *)
   let run guided =
-    Sweep.swarm ~mode:`Pin ~count:3 ~mem_bytes:256 ~fault_seed:8
+    Sweep.swarm ~mode:`Pin ~fault_seed:8 ~count:3 (Run_config.make ~mem_bytes:256 ())
       { Swarm.default_config with
         Swarm.sw_seed = 2004; sw_budget = 64; sw_batch = 4; sw_guided = guided }
-      ()
   in
   let g = run true and b = run false in
   Alcotest.(check bool) "both campaigns clean" true (g.Swarm.sr_ok && b.Swarm.sr_ok);
@@ -196,9 +224,8 @@ let check_jobs_independence () =
      the whole campaign renders byte-identically at any worker count *)
   let run jobs =
     Swarm.render_json
-      (Sweep.swarm ~jobs ~mode:`Pin ~count:3 ~mem_bytes:256 ~fault_seed:1
-         { Swarm.default_config with Swarm.sw_budget = 16 }
-         ())
+      (Sweep.swarm ~jobs ~mode:`Pin ~fault_seed:1 ~count:3 (Run_config.make ~mem_bytes:256 ())
+         { Swarm.default_config with Swarm.sw_budget = 16 })
   in
   Alcotest.(check string) "jobs 1 == jobs 4" (run 1) (run 4)
 
@@ -217,6 +244,8 @@ let tests =
         Alcotest.test_case "guided exploits the productive family" `Quick
           check_guided_exploits;
         QCheck_alcotest.to_alcotest ~long:false qcheck_guided_never_worse;
+        Alcotest.test_case "epsilon exploration can lose to blind" `Quick
+          check_exploration_can_lose;
         QCheck_alcotest.to_alcotest ~long:false qcheck_deterministic;
         Alcotest.test_case "budget 64: guided > blind on the PCI families" `Slow
           check_guided_beats_blind_at_64;
