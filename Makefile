@@ -1,6 +1,6 @@
 # Convenience targets; dune is the real build system.
 
-.PHONY: all build test lint check ci bench bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke examples-smoke clean
+.PHONY: all build test lint check ci bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke examples-smoke clean
 
 all: build
 
@@ -17,13 +17,20 @@ lint:
 
 check: build test lint
 
-# Everything a PR must pass, including one pass over every bench series
-# (tiny iteration counts) so the perf code paths are compiled and exercised
+# Everything a PR must pass, including a short run of each end-to-end
+# benchmark workload so its code paths and output checks are exercised
 # even when nobody is looking at the numbers.
 ci: build lint test bench-smoke bench-guard sweep-smoke fault-smoke equiv-smoke swarm-smoke serve-smoke synth-smoke verilog-smoke examples-smoke
 
+# Two seconds of each perfbench workload (see perfbench/README.md): every
+# run checks its outputs against perfbench/baseline.json and exits
+# non-zero if any is wrong.
+PERFBENCH_WORKLOADS = flow_revisions swarm_pin serve_mixed
+
 bench-smoke:
-	dune exec bench/main.exe -- --smoke
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 # Same-binary comparison of the one production RTL engine (levelized)
 # against the legacy whole-network settle reference, interleaved over the
@@ -103,11 +110,6 @@ examples-smoke:
 	    cat $$dir/out.txt; echo "examples-smoke: $$ex FAILED"; rm -rf $$dir; exit 1; \
 	  fi; \
 	done
-
-# The full wall-clock series (see BENCH_pr2.json for the committed
-# trajectory): min-of-N, one JSON document per run.
-bench:
-	dune exec bench/main.exe -- --json bench.json --label local --repeat 15
 
 clean:
 	dune clean

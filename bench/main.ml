@@ -1,27 +1,30 @@
-(* Benchmark and experiment harness.
+(* The experiment tables and the RTL engine guard.
 
-   For every figure/experiment of the paper (see DESIGN.md's experiment
-   index) this executable both:
-   - registers a Bechamel micro-benchmark measuring the artefact's cost, and
-   - prints the experiment's table/series (the EXPERIMENTS.md numbers).
+   With no arguments this executable prints the table of every
+   figure/experiment of the paper (see DESIGN.md's experiment index);
+   these are the EXPERIMENTS.md numbers:
 
    FIG1  shared-bistable global object (Figure 1)
    FIG3  TLM vs pin-accurate vs post-synthesis simulation speed (Figure 3)
    FIG4  waveform dump of the PCI handler (Figure 4)
    EXP1-3 the three-step validation flow (Section 3)
-   FW1   method-call latency vs concurrent callers (the paper's future work) *)
+   EXP2  synthesis results for the PCI interface, with ablations
+   FW1   method-call latency vs concurrent callers (the paper's future work)
+   EXT2  DMA on the pattern, word-by-word vs burst-buffered
+   EXT3  batch validation throughput over the domain pool
+
+   `--guard` is a same-process settle-vs-levelized RTL engine comparison
+   that fails if the levelized engine is slower.  Performance is judged by
+   the end-to-end benchmark in perfbench/. *)
 
 module K = Hlcs_engine.Kernel
 module C = Hlcs_engine.Clock
-module S = Hlcs_engine.Signal
 module T = Hlcs_engine.Time
-module BV = Hlcs_logic.Bitvec
 module Go = Hlcs_osss.Global_object
 module Policy = Hlcs_osss.Policy
 module Bistable = Hlcs_osss.Bistable
 open Hlcs_interface
 module Synthesize = Hlcs_synth.Synthesize
-module Equiv = Hlcs_verify.Equiv
 module Pci_stim = Hlcs_pci.Pci_stim
 module Pci_types = Hlcs_pci.Pci_types
 module Flow = Hlcs.Flow
@@ -69,55 +72,8 @@ let run_fig1 () =
 (* ------------------------------------------------------------------ *)
 (* FW1: method-call completion latency vs number of concurrent callers *)
 
-(* A synthesised n-caller contention design: every caller performs
-   [rounds] back-to-back calls on one shared object; the server grants at
-   most one call per cycle, so per-call completion time grows with the
-   number of contenders. *)
-let contention_design ~policy ~nprocs ~rounds =
-  let open Hlcs_hlir.Builder in
-  let ctr =
-    object_ "ctr" ~policy
-      ~fields:[ field_decl "n" 16 ]
-      ~methods:
-        [ method_ "bump" ~guard:ctrue ~updates:[ ("n", field "n" +: cst ~width:16 1) ] ]
-  in
-  let worker i =
-    process (Printf.sprintf "w%d" i) ~priority:i
-      ~locals:[ local "k" 8 ]
-      [
-        while_ (var "k" <: cst ~width:8 rounds)
-          [ call "ctr" "bump" []; set "k" (var "k" +: cst ~width:8 1) ];
-        emit (Printf.sprintf "done%d" i) ctrue;
-        halt;
-      ]
-  in
-  design "contention"
-    ~ports:(List.init nprocs (fun i -> out_port (Printf.sprintf "done%d" i) 1))
-    ~objects:[ ctr ]
-    ~processes:(List.init nprocs worker)
-
-(* cycles until every caller finished, on the synthesised RTL *)
-let fw1_cycles ~policy ~nprocs ~rounds =
-  let d = contention_design ~policy ~nprocs ~rounds in
-  let report = Synthesize.synthesize d in
-  let k = K.create () in
-  let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
-  let sim = Hlcs_rtl.Sim.elaborate k ~clock:clk report.Synthesize.rp_rtl in
-  let finished = ref 0 in
-  let _ =
-    K.spawn k ~name:"watch" (fun () ->
-        for i = 0 to nprocs - 1 do
-          S.wait_value (Hlcs_rtl.Sim.out_port sim (Printf.sprintf "done%d" i))
-            (BV.of_bool true)
-        done;
-        finished := C.cycles clk;
-        K.request_stop k)
-  in
-  K.run ~max_time:(T.us 10_000) k;
-  if !finished = 0 then failwith "fw1: contention design did not finish";
-  !finished
-
-(* behavioural-level wait statistics for the same workload *)
+(* behavioural-level wait statistics for the contention workload whose
+   RTL cycle count is [Contention_design.rtl_cycles] *)
 let fw1_behavioural_wait ~policy ~nprocs ~rounds =
   let k = K.create () in
   let clk = C.create k ~name:"clk" ~period:(T.ns 10) () in
@@ -169,24 +125,6 @@ let batch_configs =
     ("par2_cached", 2, true);
     ("par4_cached", 4, true);
   ]
-
-(* Coverage-closure campaign (EXPERIMENTS.md swarm table): budget spent
-   over the seeded PCI fault families at the pin-accurate level, guided
-   by merged functional coverage or blind round-robin.  The parameters
-   match the acceptance regression in test_swarm.ml. *)
-let run_swarm ~guided ~budget () =
-  let r =
-    Sweep.swarm ~mode:`Pin ~fault_seed:8 ~count:3 (Run_config.make ~mem_bytes:256 ())
-      {
-        Hlcs_verify.Swarm.default_config with
-        Hlcs_verify.Swarm.sw_seed = 2004;
-        sw_budget = budget;
-        sw_batch = 4;
-        sw_guided = guided;
-      }
-  in
-  if not r.Hlcs_verify.Swarm.sr_ok then failwith "swarm campaign failed";
-  r
 
 (* ------------------------------------------------------------------ *)
 (* Experiment tables                                                   *)
@@ -282,7 +220,7 @@ let table_fw1 () =
       Printf.printf "%-14s" (Policy.to_string policy);
       List.iter
         (fun nprocs ->
-          let total = fw1_cycles ~policy ~nprocs ~rounds in
+          let total = Contention_design.rtl_cycles ~policy ~nprocs ~rounds in
           (* cycles per completed call, across all callers *)
           Printf.printf "%8.1f" (float_of_int total /. float_of_int rounds))
         [ 1; 2; 4; 8; 12; 16 ];
@@ -333,353 +271,10 @@ let table_exp2_area () =
     raw
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-
-open Bechamel
-open Toolkit
-
-let benches =
-  [
-    Test.make ~name:"fig1/bistable_roundtrips" (Staged.stage (fun () -> ignore (run_fig1 ())));
-    Test.make ~name:"fig3/tlm"
-      (Staged.stage (fun () -> ignore (System.tlm config ~script)));
-    Test.make ~name:"fig3/pin_behavioural"
-      (Staged.stage (fun () -> ignore (System.pin config ~script)));
-    Test.make ~name:"fig3/pin_rtl"
-      (Staged.stage (fun () -> ignore (System.rtl config ~script)));
-    Test.make ~name:"fig4/vcd_dump"
-      (Staged.stage (fun () ->
-           ignore (System.pin (Run_config.with_vcd_prefix "bench_fig4" config) ~script)));
-    Test.make ~name:"exp2/synthesis"
-      (Staged.stage (fun () ->
-           ignore (Synthesize.synthesize (Pci_master_design.design ~app:script ()))));
-    Test.make ~name:"exp3/equiv_check"
-      (Staged.stage (fun () ->
-           ignore
-             (Equiv.check ~max_time:(T.us 50)
-                (contention_design ~policy:Policy.Fcfs ~nprocs:3 ~rounds:5))));
-    Test.make ~name:"fw1/contention_rtl_16"
-      (Staged.stage (fun () ->
-           ignore (fw1_cycles ~policy:Policy.Round_robin ~nprocs:16 ~rounds:8)));
-  ]
-
-let run_benchmarks () =
-  heading "Bechamel micro-benchmarks (monotonic clock per run)";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~stabilize:false ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"hlcs" benches) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Printf.printf "%-40s %16s\n" "benchmark" "time/run";
-  List.iter
-    (fun (name, v) ->
-      let estimate =
-        match Analyze.OLS.estimates v with
-        | Some [ ns ] -> Printf.sprintf "%12.3f ms" (ns /. 1e6)
-        | Some _ | None -> "n/a"
-      in
-      Printf.printf "%-40s %16s\n" name estimate)
-    rows;
-  let fig4_vcd = "bench_fig4_behavioural.vcd" in
-  if Sys.file_exists fig4_vcd then Sys.remove fig4_vcd
-
-(* ------------------------------------------------------------------ *)
-(* EQUIV: the SAT-based combinational equivalence proofs                *)
-
-module Cec = Hlcs_analysis.Cec
-
-let equiv_pair design =
-  lazy
-    (let raw =
-       Synthesize.synthesize
-         ~options:{ Synthesize.default_options with optimize = false }
-         design
-     in
-     (raw.Synthesize.rp_rtl, (Synthesize.synthesize design).Synthesize.rp_rtl))
-
-let pci_equiv_pair = equiv_pair (Pci_master_design.design ~app:script ())
-let sram_equiv_pair = equiv_pair (Sram_master_design.design ~app:script ())
-let dma_equiv_pair = equiv_pair (Dma_design.design ~src:0 ~dst:64 ~words:8 ())
-
-let run_cec pair =
-  let left, right = Lazy.force pair in
-  match (Cec.check left right).Cec.rp_verdict with
-  | Cec.Equivalent -> ()
-  | _ -> failwith "bench: shipped design failed its equivalence proof"
-
-(* ------------------------------------------------------------------ *)
-(* Wall-clock series harness (--json / --smoke)                        *)
-
-(* The same artefacts as the Bechamel group, as plain thunks.  The JSON
-   mode times them with min-of-N wall clock: scheduler noise only ever
-   adds time, so the minimum is a far more stable basis for before/after
-   comparisons than a least-squares estimate on a noisy box.  Each thunk
-   returns the number of simulated clock cycles when the series is an RTL
-   simulation (deterministic per series), so the JSON can carry a derived
-   [cycles_per_sec] axis; [None] for series without a cycle count. *)
-let series : (string * (unit -> int option)) list =
-  [
-    ("fig1/bistable_roundtrips", fun () -> ignore (run_fig1 ()); None);
-    (* the longer randomized workload (same as the FIG3 table): the smoke
-       script finishes in ~0.2 ms at the behavioural level, which is inside
-       timer noise for a before/after ratio *)
-    ( "fig3/tlm",
-      fun () -> ignore (System.tlm config ~script:random_script); None );
-    ( "fig3/pin_behavioural",
-      fun () -> ignore (System.pin config ~script:random_script); None );
-    ( "fig3/pin_rtl",
-      fun () ->
-        Some (System.rtl config ~script:random_script).System.rr_cycles );
-    ( "fig3/sram_pin",
-      fun () -> ignore (Sram_system.pin config ~script:random_script); None );
-    ( "fig3/sram_rtl",
-      fun () ->
-        Some (Sram_system.rtl config ~script:random_script).System.rr_cycles );
-    ( "exp3/equiv_check",
-      fun () ->
-        ignore
-          (Equiv.check ~max_time:(T.us 50)
-             (contention_design ~policy:Policy.Fcfs ~nprocs:3 ~rounds:5));
-        None );
-    (* the SAT-based combinational proof (raw synthesis vs optimised
-       netlist).  The pair is synthesised lazily once, so the first timed
-       run pays synthesis and every later one is pure CEC — min-of-N
-       therefore reports the proof time alone *)
-    ("equiv/cec_pci", fun () -> run_cec pci_equiv_pair; None);
-    ("equiv/cec_sram", fun () -> run_cec sram_equiv_pair; None);
-    ("equiv/cec_dma", fun () -> run_cec dma_equiv_pair; None);
-    ( "fw1/contention_rtl_16",
-      fun () -> Some (fw1_cycles ~policy:Policy.Round_robin ~nprocs:16 ~rounds:8) );
-    (* EXT3: the batch sweep at every configuration, so the committed JSON
-       carries the full scaling picture of the host it ran on *)
-    ( "batch/sweep16_seq_uncached",
-      fun () -> ignore (run_sweep ~jobs:1 ~cache:false ()); None );
-    ("batch/sweep16_seq_cached", fun () -> ignore (run_sweep ~jobs:1 ~cache:true ()); None);
-    ("batch/sweep16_par2_cached", fun () -> ignore (run_sweep ~jobs:2 ~cache:true ()); None);
-    ("batch/sweep16_par4_cached", fun () -> ignore (run_sweep ~jobs:4 ~cache:true ()); None);
-    (* coverage closure vs budget, guided vs blind (the EXPERIMENTS.md
-       swarm table); wall clock is the cost of the whole campaign *)
-    ("swarm/closure_guided_b16", fun () -> ignore (run_swarm ~guided:true ~budget:16 ()); None);
-    ("swarm/closure_blind_b16", fun () -> ignore (run_swarm ~guided:false ~budget:16 ()); None);
-    ("swarm/closure_guided_b64", fun () -> ignore (run_swarm ~guided:true ~budget:64 ()); None);
-    ("swarm/closure_blind_b64", fun () -> ignore (run_swarm ~guided:false ~budget:64 ()); None);
-  ]
-
-(* Raw engine throughput: drive the synthesized fig3 netlist directly —
-   per-cycle input churn, settle, clock edge, settle — with no
-   event-driven testbench around it.  The pin_rtl series above is bounded
-   by the behavioural PCI models and the scheduler; this axis isolates
-   what the ROADMAP's "millions of cycles/sec" item asks of the evaluator
-   itself. *)
-let fig3_rtl =
-  lazy
-    (Synthesize.synthesize (Pci_master_design.design ~app:random_script ()))
-      .Synthesize.rp_rtl
-
-let netlist_cycles = 25_000
-
-let netlist_levelized () =
-  let d = Lazy.force fig3_rtl in
-  let t = Hlcs_rtl.Compile.compile d in
-  let inputs = Array.of_list d.Hlcs_rtl.Ir.rd_inputs in
-  Hlcs_rtl.Compile.full_settle t;
-  let s = ref 2004 in
-  let next () =
-    s := ((!s * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-    !s
-  in
-  for _ = 1 to netlist_cycles do
-    let k = next () mod Array.length inputs in
-    let _, w = inputs.(k) in
-    let v = next () land (if w >= 62 then max_int else (1 lsl w) - 1) in
-    Hlcs_rtl.Compile.set_input t k (BV.of_int ~width:w v);
-    Hlcs_rtl.Compile.settle t;
-    ignore (Hlcs_rtl.Compile.step_registers t : bool);
-    Hlcs_rtl.Compile.settle t
-  done;
-  Some netlist_cycles
-
-(* ------------------------------------------------------------------ *)
-(* SERVE: the job daemon's protocol overhead and its restart story     *)
-
-module Serve = Hlcs_serve.Serve
-module Serve_protocol = Hlcs_serve.Protocol
-module Job = Hlcs.Job
-
-(* one full session round-trip — frame a submit, cancel it, shut down —
-   through the same [Serve.session] loop the daemon runs.  No job body
-   executes, so the series isolates framing + decode + admission, the
-   per-request cost a client pays before any simulation happens. *)
-let serve_request_bytes =
-  lazy
-    (let job =
-       match
-         Hlcs_json.Json.parse
-           (Job.to_json { Job.default with Job.j_deterministic = true })
-       with
-       | Ok j -> j
-       | Error e -> failwith ("serve bench: job codec: " ^ e)
-     in
-     let b = Buffer.create 512 in
-     let frame p =
-       Buffer.add_string b (Printf.sprintf "%d\n" (String.length p));
-       Buffer.add_string b p
-     in
-     frame (Serve_protocol.submit_to_string ~id:"b1" job);
-     frame (Serve_protocol.simple_request_to_string (`Cancel "b1"));
-     frame (Serve_protocol.simple_request_to_string `Shutdown);
-     Buffer.contents b)
-
-let serve_submit_latency () =
-  let reqf = Filename.temp_file "hlcs_bench_serve" ".req" in
-  let outf = Filename.temp_file "hlcs_bench_serve" ".out" in
-  let oc = open_out_bin reqf in
-  output_string oc (Lazy.force serve_request_bytes);
-  close_out oc;
-  let ic = open_in_bin reqf and out = open_out_bin outf in
-  let summary, reason = Serve.session Serve.default_config ic out in
-  close_in ic;
-  close_out out;
-  Sys.remove reqf;
-  Sys.remove outf;
-  if reason <> `Shutdown || summary.Serve.sm_cancelled <> 1 then
-    failwith "serve bench: round-trip did not follow the script";
-  None
-
-(* the restart story: a fresh process (modelled as a fresh cache over a
-   pre-populated disk directory) answering the fig3 synthesis from the
-   disk tier instead of re-synthesising.  The cold population runs once,
-   un-timed; every timed iteration is the warm load — compare against
-   batch/sweep16_seq_uncached for the cold synthesis cost it replaces. *)
-let serve_synth_disk =
-  lazy
-    (let dir = Filename.temp_file "hlcs_bench_synth" "" in
-     Sys.remove dir;
-     Unix.mkdir dir 0o700;
-     let cold = Synth_cache.create ~disk:(`Dir dir) () in
-     ignore
-       (Synth_cache.synthesize cold
-          (Pci_master_design.design ~app:random_script ()));
-     if (Synth_cache.stats cold).Synth_cache.misses <> 1 then
-       failwith "serve bench: cold synthesis did not populate the disk tier";
-     dir)
-
-let serve_warm_vs_cold_synth () =
-  let dir = Lazy.force serve_synth_disk in
-  let warm = Synth_cache.create ~disk:(`Dir dir) () in
-  ignore
-    (Synth_cache.synthesize warm (Pci_master_design.design ~app:random_script ()));
-  let s = Synth_cache.stats warm in
-  if s.Synth_cache.disk_hits <> 1 || s.Synth_cache.misses <> 0 then
-    failwith "serve bench: warm synthesis missed the disk tier";
-  None
-
-let serve_series =
-  [
-    ("serve/submit_latency", serve_submit_latency);
-    ("serve/warm_vs_cold_synth", serve_warm_vs_cold_synth);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* SYNTH: incremental unit-granular synthesis                          *)
-
-(* the incremental cost model: a one-unit edit must cost one unit plus a
-   relink, never a full resynthesis.  The workload is fig3 driven by a
-   heavier 80-request stimulus than the CLI default — incremental
-   synthesis is a large-design optimisation, and the app process (which
-   the stimulus script compiles into) is where fig3 grows.  The warm
-   partition (the design's fragments, keyed by unit signature) is built
-   once, un-timed; full_cold times the from-scratch pipeline it
-   replaces, one_unit_dirty times a one-unit edit — retuning the bus
-   arbiter's age counters, which dirties exactly the object:bus_if unit
-   while both process units relink from the warm partition — and
-   relink_warm times the pure link with every fragment reused. *)
-let synth_script =
-  lazy
-    (Pci_stim.write_then_read_all
-       (Pci_stim.random ~seed:7 ~count:80 ~base:0 ~size_bytes:mem_bytes ()))
-
-let synth_base_design =
-  lazy (Pci_master_design.design ~app:(Lazy.force synth_script) ())
-
-(* the one-unit edit: a bus_if arbiter configuration change.  age_width
-   is read only by object lowering, so the two process signatures are
-   untouched and exactly one unit goes dirty. *)
-let synth_edited_options =
-  { Synthesize.default_options with Synthesize.age_width = 12 }
-
-let synth_warm_fragments =
-  lazy
-    (let pl = Synthesize.plan (Lazy.force synth_base_design) in
-     List.map
-       (fun u ->
-         ( u.Synthesize.u_signature,
-           Synthesize.synthesize_unit pl.Synthesize.pl_options
-             u.Synthesize.u_decl ))
-       pl.Synthesize.pl_units)
-
-let synth_full_cold () =
-  ignore (Synthesize.synthesize (Lazy.force synth_base_design));
-  None
-
-let synth_relink ~options ~expect_rebuilt () =
-  let warm = Lazy.force synth_warm_fragments in
-  let pl = Synthesize.plan ~options (Lazy.force synth_base_design) in
-  let rebuilt = ref 0 in
-  let frags =
-    List.map
-      (fun u ->
-        match List.assoc_opt u.Synthesize.u_signature warm with
-        | Some f -> f
-        | None ->
-            incr rebuilt;
-            Synthesize.synthesize_unit pl.Synthesize.pl_options
-              u.Synthesize.u_decl)
-      pl.Synthesize.pl_units
-  in
-  ignore (Synthesize.link_plan pl frags);
-  if !rebuilt <> expect_rebuilt then
-    failwith
-      (Printf.sprintf "synth bench: %d units rebuilt (expected %d)" !rebuilt
-         expect_rebuilt);
-  None
-
-let synth_series =
-  [
-    ("synth/full_cold", synth_full_cold);
-    ( "synth/one_unit_dirty",
-      synth_relink ~options:synth_edited_options ~expect_rebuilt:1 );
-    ( "synth/relink_warm",
-      synth_relink ~options:Synthesize.default_options ~expect_rebuilt:0 );
-  ]
-
-let series =
-  series
-  @ [ ("fig3/netlist_levelized", netlist_levelized) ]
-  @ serve_series
-  @ synth_series
-
-(* substring selection, shared by --json, --smoke and --guard *)
-let filtered ~filter entries =
-  if filter = "" then entries
-  else
-    let has_sub name =
-      let n = String.length name and f = String.length filter in
-      let rec at i = i + f <= n && (String.sub name i f = filter || at (i + 1)) in
-      at 0
-    in
-    match List.filter (fun (name, _) -> has_sub name) entries with
-    | [] -> failwith (Printf.sprintf "--filter %S matches no series" filter)
-    | some -> some
+(* --guard                                                            *)
 
 let measure ~repeat f =
-  let last = f () in
+  ignore (f ());
   (* warm-up: fills minor heap, loads code paths.  Compacting afterwards
      gives every series the same heap shape regardless of what ran before
      it in the same process — without it the min of a short series can
@@ -691,43 +286,13 @@ let measure ~repeat f =
         ignore (f ());
         Unix.gettimeofday () -. t0)
   in
-  let min_s = Array.fold_left min runs.(0) runs in
-  let mean_s = Array.fold_left ( +. ) 0. runs /. float_of_int repeat in
-  (min_s, mean_s, runs, last)
-
-let run_json ~path ~label ~repeat ~filter =
-  let selected = filtered ~filter series in
-  let rows =
-    List.map
-      (fun (name, f) ->
-        let min_s, mean_s, runs, cycles = measure ~repeat f in
-        Printf.eprintf "%-28s min %8.3f ms  mean %8.3f ms\n%!" name (min_s *. 1e3)
-          (mean_s *. 1e3);
-        let extra =
-          match cycles with
-          | Some c -> Printf.sprintf ", \"cycles_per_sec\": %.1f" (float_of_int c /. min_s)
-          | None -> ""
-        in
-        Printf.sprintf
-          "    { \"name\": %S, \"min_s\": %.6f, \"mean_s\": %.6f%s,\n      \"runs_s\": [%s] }"
-          name min_s mean_s extra
-          (String.concat ", "
-             (Array.to_list (Array.map (Printf.sprintf "%.6f") runs))))
-      selected
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"label\": %S,\n  \"repeat\": %d,\n  \"series\": [\n%s\n  ]\n}\n"
-    label repeat
-    (String.concat ",\n" rows);
-  close_out oc;
-  Printf.printf "wrote %s (%d series, repeat=%d)\n" path (List.length selected) repeat
+  Array.fold_left min runs.(0) runs
 
 (* --guard: a cheap same-process regression tripwire for the RTL engine
    — the levelized engine and the legacy whole-network settle reference
    run from the same binary, interleaved, over the RTL series, and the
    run fails if the levelized engine is ever slower than settle.
-   Same-process comparison avoids the cross-binary noise of the committed
-   BENCH files. *)
+   Same-process comparison avoids cross-binary noise. *)
 let guard_series : (string * (Hlcs_rtl.Sim.engine -> System.run_report)) list =
   [
     ( "fig3/pin_rtl",
@@ -743,9 +308,9 @@ let run_guard () =
     (fun (name, f) ->
       let settle = ref infinity and levelized = ref infinity in
       for _ = 1 to rounds do
-        let s, _, _, _ = measure ~repeat (fun () -> f `Settle) in
+        let s = measure ~repeat (fun () -> f `Settle) in
         settle := min !settle s;
-        let l, _, _, _ = measure ~repeat (fun () -> f `Levelized) in
+        let l = measure ~repeat (fun () -> f `Levelized) in
         levelized := min !levelized l
       done;
       let verdict = if !levelized <= !settle then "ok" else "FAIL" in
@@ -761,50 +326,17 @@ let run_guard () =
   end;
   print_endline "guard: levelized engine no slower than settle on every RTL series"
 
-(* One quick pass over every series plus the cross-configuration trace
-   check: cheap enough for CI, still exercises all five interfaces. *)
-let run_smoke ~filter =
-  List.iter
-    (fun (name, f) ->
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      Printf.printf "smoke %-28s ok (%.1f ms)\n%!" name
-        ((Unix.gettimeofday () -. t0) *. 1e3))
-    (filtered ~filter series);
-  let a = System.tlm config ~script in
-  let b = System.pin config ~script in
-  let c = System.rtl config ~script in
-  let issues =
-    System.compare_runs a b @ System.compare_runs b c @ System.compare_bus_traces b c
-  in
-  List.iter (fun i -> Printf.printf "smoke MISMATCH: %s\n" i) issues;
-  if issues <> [] then exit 1;
-  print_endline "smoke: all series ran, tlm/pin/rtl observations consistent"
-
 let () =
-  let json_path = ref "" in
-  let label = ref "dev" in
-  let repeat = ref 9 in
-  let smoke = ref false in
   let guard = ref false in
-  let filter = ref "" in
   Arg.parse
     [
-      ("--json", Arg.Set_string json_path, "PATH write min-of-N wall-clock series to PATH");
-      ("--label", Arg.Set_string label, "NAME label recorded in the JSON output");
-      ("--repeat", Arg.Set_int repeat, "N timed runs per series (default 9)");
-      ("--filter", Arg.Set_string filter, "SUB only run series whose name contains SUB");
-      ("--smoke", Arg.Set smoke, " single quick pass per series, for CI");
       ( "--guard",
         Arg.Set guard,
         " same-process settle-vs-levelized RTL engine comparison; fails if slower" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "hlcs bench harness";
+    "hlcs experiment tables (no arguments) and RTL engine guard";
   if !guard then run_guard ()
-  else if !smoke then run_smoke ~filter:!filter
-  else if !json_path <> "" then
-    run_json ~path:!json_path ~label:!label ~repeat:!repeat ~filter:!filter
   else begin
     Printf.printf
       "hlcs benchmark & experiment harness - reproduction of Bruschi & Bombana, DATE 2004\n";
@@ -815,6 +347,5 @@ let () =
     table_exp123 ();
     table_fw1 ();
     table_ext2_dma ();
-    table_ext3_batch ();
-    run_benchmarks ()
+    table_ext3_batch ()
   end

@@ -962,6 +962,15 @@ let waves_cmd =
 
 (* --- latency ------------------------------------------------------------ *)
 
+(* an int option whose out-of-range values are a command-line error *)
+let checked_int ~valid ~expect =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when valid n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s expect))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let latency_cmd =
   let run rounds max_callers =
     Printf.printf "%-14s" "callers";
@@ -975,60 +984,29 @@ let latency_cmd =
         Printf.printf "%-14s" (Policy.to_string policy);
         List.iter
           (fun nprocs ->
-            let open Hlcs_hlir.Builder in
-            let ctr =
-              object_ "ctr" ~policy
-                ~fields:[ field_decl "n" 16 ]
-                ~methods:
-                  [
-                    method_ "bump" ~guard:ctrue
-                      ~updates:[ ("n", field "n" +: cst ~width:16 1) ];
-                  ]
-            in
-            let worker i =
-              process (Printf.sprintf "w%d" i) ~priority:i
-                ~locals:[ local "k" 8 ]
-                [
-                  while_ (var "k" <: cst ~width:8 rounds)
-                    [ call "ctr" "bump" []; set "k" (var "k" +: cst ~width:8 1) ];
-                  emit (Printf.sprintf "done%d" i) ctrue;
-                  halt;
-                ]
-            in
-            let d =
-              design "contention"
-                ~ports:(List.init nprocs (fun i -> out_port (Printf.sprintf "done%d" i) 1))
-                ~objects:[ ctr ]
-                ~processes:(List.init nprocs worker)
-            in
-            let report = Synthesize.synthesize d in
-            let k = Hlcs_engine.Kernel.create () in
-            let clk =
-              Hlcs_engine.Clock.create k ~name:"clk" ~period:(Hlcs_engine.Time.ns 10) ()
-            in
-            let sim = Hlcs_rtl.Sim.elaborate k ~clock:clk report.Synthesize.rp_rtl in
-            let finished = ref 0 in
-            let _ =
-              Hlcs_engine.Kernel.spawn k (fun () ->
-                  for i = 0 to nprocs - 1 do
-                    Hlcs_engine.Signal.wait_value
-                      (Hlcs_rtl.Sim.out_port sim (Printf.sprintf "done%d" i))
-                      (Hlcs_logic.Bitvec.of_bool true)
-                  done;
-                  finished := Hlcs_engine.Clock.cycles clk;
-                  Hlcs_engine.Kernel.request_stop k)
-            in
-            Hlcs_engine.Kernel.run ~max_time:(Hlcs_engine.Time.us 50_000) k;
-            Printf.printf "%8.1f" (float_of_int !finished /. float_of_int rounds))
+            let cycles = Contention_design.rtl_cycles ~policy ~nprocs ~rounds in
+            Printf.printf "%8.1f" (float_of_int cycles /. float_of_int rounds))
           points;
         Printf.printf "   (cycles per call round)\n")
       Policy.all
   in
   let rounds =
-    Arg.(value & opt int 16 & info [ "rounds" ] ~docv:"N" ~doc:"Calls per caller.")
+    let max_rounds = Contention_design.max_rounds in
+    let in_range =
+      checked_int
+        ~valid:(fun n -> n >= 1 && n <= max_rounds)
+        ~expect:(Printf.sprintf "in 1..%d" max_rounds)
+    in
+    Arg.(
+      value & opt in_range 16
+      & info [ "rounds" ] ~docv:"N"
+          ~doc:(Printf.sprintf "Calls per caller, 1 to %d." max_rounds))
   in
   let max_callers =
-    Arg.(value & opt int 16 & info [ "max-callers" ] ~docv:"N" ~doc:"Largest caller count.")
+    let positive = checked_int ~valid:(fun n -> n >= 1) ~expect:"a positive integer" in
+    Arg.(
+      value & opt positive 16
+      & info [ "max-callers" ] ~docv:"N" ~doc:"Largest caller count, at least 1.")
   in
   Cmd.v
     (Cmd.info "latency"

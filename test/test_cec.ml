@@ -189,15 +189,10 @@ let check_pci_equivalent () =
   Alcotest.(check bool) "some checks via SAT" true
     (List.exists (fun c -> c.Cec.ck_stats <> None) r.Cec.rp_checks)
 
-let check_sram_equivalent () =
-  let raw, opt =
-    synth_pair
-      (Hlcs_interface.Sram_master_design.design
-         ~app:(Hlcs_pci.Pci_stim.directed_smoke ~base:0)
-         ())
-  in
-  Alcotest.(check bool) "sram raw == optimised" true
-    (Cec.equiv raw opt = Cec.Equivalent)
+(* the other shipped designs: the plain verdict *)
+let check_equivalent design () =
+  let raw, opt = synth_pair design in
+  Alcotest.(check bool) "raw == optimised" true (Cec.equiv raw opt = Cec.Equivalent)
 
 (* ------------------------------------------------------------------ *)
 (* the miscompiled fixture: caught, and the counterexample replays *)
@@ -407,7 +402,13 @@ let tests =
         Alcotest.test_case "footprint mismatch reported" `Quick
           check_footprint_mismatch;
         Alcotest.test_case "pci raw == optimised" `Quick check_pci_equivalent;
-        Alcotest.test_case "sram raw == optimised" `Quick check_sram_equivalent;
+        Alcotest.test_case "sram raw == optimised" `Quick
+          (check_equivalent
+             (Hlcs_interface.Sram_master_design.design
+                ~app:(Hlcs_pci.Pci_stim.directed_smoke ~base:0)
+                ()));
+        Alcotest.test_case "dma raw == optimised" `Quick
+          (check_equivalent (Hlcs_interface.Dma_design.design ~src:0 ~dst:64 ~words:8 ()));
         Alcotest.test_case "miscompilation caught, counterexample replays" `Quick
           check_miscompiled_caught_and_replayed;
         Alcotest.test_case "X-strengthening flagged" `Quick

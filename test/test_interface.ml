@@ -232,6 +232,24 @@ let check_buffered_dma () =
   Alcotest.(check int) "two bursts per chunk" (2 * (words / chunk))
     (List.length b.System.rr_transactions)
 
+let check_contention_rtl_cycles () =
+  (* FW1: every worker raises its done port on the RTL, and the server
+     grants one call per cycle, so 16 callers wait on one another *)
+  List.iter
+    (fun policy ->
+      let cycles nprocs rounds = Contention_design.rtl_cycles ~policy ~nprocs ~rounds in
+      let name = Hlcs_osss.Policy.to_string policy in
+      Alcotest.(check int) (name ^ ": 2 callers, 2 rounds") 11 (cycles 2 2);
+      Alcotest.(check int) (name ^ ": 16 callers, 8 rounds") 133 (cycles 16 8))
+    Hlcs_osss.Policy.all;
+  let rejects rounds =
+    match Contention_design.design ~policy:Hlcs_osss.Policy.Fcfs ~nprocs:1 ~rounds with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check (list bool)) "rounds outside 1..max_rounds rejected" [ true; true ]
+    [ rejects 0; rejects (Contention_design.max_rounds + 1) ]
+
 let check_vcd_artifacts () =
   let dir = Filename.temp_file "hlcs" "" in
   Sys.remove dir;
@@ -265,6 +283,7 @@ let tests =
         Alcotest.test_case "interface swap (pci vs sram)" `Slow check_interface_swap;
         Alcotest.test_case "dma block copy design" `Slow check_dma_design;
         Alcotest.test_case "buffered dma (register-file bursts)" `Slow check_buffered_dma;
+        Alcotest.test_case "fw1 contention rtl cycles" `Quick check_contention_rtl_cycles;
         Alcotest.test_case "figure-4 vcd artifacts" `Quick check_vcd_artifacts;
       ] );
   ]
